@@ -13,6 +13,7 @@ from .convergence import (
     recovery_sequence,
 )
 from .errors import (
+    ConvergenceCheckFailure,
     DegenerateFiber,
     InsuloptError,
     MeshFailure,
@@ -53,9 +54,10 @@ from .robin_solver import solve_limit
 from .thickness import reconstruct_distribution, to_normal_thickness
 
 __all__ = [
-    "DegenerateFiber", "EnergyReport", "FacetLabel", "GammaSweepReport",
-    "InsulationDistribution", "InsuloptError", "MeshFailure", "MeshMismatch",
-    "ModeInvalid", "NoConvergence", "NonInjectiveLayer", "NonpositiveWeight",
+    "ConvergenceCheckFailure", "DegenerateFiber", "EnergyReport",
+    "FacetLabel", "GammaSweepReport", "InsulationDistribution",
+    "InsuloptError", "MeshFailure", "MeshMismatch", "ModeInvalid",
+    "NoConvergence", "NonInjectiveLayer", "NonpositiveWeight",
     "NonUniqueWarning", "PolygonalDomain", "ProblemData", "ProxWorkspace",
     "SchemaError", "TransversalField", "TransversalityFailure", "TriMesh",
     "UnknownLabel", "ZeroTrace", "boundary_l1", "build_transversal_field",

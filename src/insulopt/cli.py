@@ -122,22 +122,26 @@ def cmd_solve_eps(cfg):
     return 0
 
 
-def cmd_solve_reduced(cfg):
+def _reduced_solution(cfg, command):
+    """Solve the reduced problem, print its energies and write its VTK."""
     if cfg.mass is None:
-        raise SchemaError("mass", "required for solve-reduced")
+        raise SchemaError("mass", f"required for {command}")
     domain, field, mesh, data = _build_problem(cfg)
     u, report = solve_reduced(mesh, cfg.mass, data, method=cfg.solver.method,
                               tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
     _print_report("E_REDUCED", report)
     if cfg.output.vtk:
         write_vtk(_out(cfg, "reduced.vtk"), mesh, point_data={"u": u})
-    return 0, u, mesh, field, data
+    return u, mesh, field
+
+
+def cmd_solve_reduced(cfg):
+    _reduced_solution(cfg, "solve-reduced")
+    return 0
 
 
 def cmd_reconstruct(cfg):
-    if cfg.mass is None:
-        raise SchemaError("mass", "required for reconstruct")
-    _, u, mesh, field, data = cmd_solve_reduced(cfg)
+    u, mesh, field = _reduced_solution(cfg, "reconstruct")
     dist = reconstruct_distribution(mesh, u, cfg.mass, field,
                                     d_min_warn=cfg.distribution.d_min or None)
     rows = [(s, d, dt) for s, d, dt in profile_table(dist)]
@@ -194,8 +198,7 @@ def cmd_gamma_sweep(cfg):
     report = gamma_sweep(domain, field, dist, data, cfg.solver.epsilon_list,
                          h=cfg.solver.h, n_t=cfg.solver.n_t,
                          tol=cfg.solver.tol, keep_fields=cfg.output.vtk)
-    from .vtk_io import _atomic_write
-    _atomic_write(_out(cfg, "gamma.csv"), "\n".join(report.csv_rows()) + "\n")
+    write_csv(_out(cfg, "gamma.csv"), *report.csv_table())
     for i, (eps, glued, u_eps) in enumerate(report.fields):
         write_vtk(_out(cfg, f"gamma_eps_{i}.vtk"), glued,
                   point_data={"u": u_eps})
@@ -228,7 +231,7 @@ COMMANDS = {
     "mesh": cmd_mesh,
     "solve-limit": cmd_solve_limit,
     "solve-eps": cmd_solve_eps,
-    "solve-reduced": lambda cfg: cmd_solve_reduced(cfg)[0],
+    "solve-reduced": cmd_solve_reduced,
     "reconstruct": cmd_reconstruct,
     "gamma-sweep": cmd_gamma_sweep,
     "check-lebesgue": cmd_check_lebesgue,

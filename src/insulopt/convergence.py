@@ -11,12 +11,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import MeshMismatch
+from .errors import ConvergenceCheckFailure, MeshMismatch
 from .fem import eval_E_eps
 from .geometry import (
     _GAUSS_W,
-    _GAUSS_X,
-    _facet_subsegments,
+    _arc_gauss_nodes,
     _layer_integrand_coeffs,
     layer_area,
     transversal_mass,
@@ -24,6 +23,7 @@ from .geometry import (
 from .layer_solver import solve_eps
 from .meshing import extrude_layer, triangulate_bulk
 from .robin_solver import solve_limit
+from .vtk_io import csv_lines
 
 _T_GX, _T_GW = np.polynomial.legendre.leggauss(6)
 
@@ -75,20 +75,22 @@ class GammaSweepReport:
     orders_recovery: list = dc_field(default_factory=list)
     fields: list = dc_field(default_factory=list)
 
-    def csv_rows(self):
+    def csv_table(self):
+        """(header, rows) of the CSV: one row per eps, then two comment
+        rows with the limit energy and the weighted mass."""
         header = ("eps,energy_solution,energy_recovery,gap_solution,"
                   "gap_recovery,equicoercivity,layer_area_over_eps,"
                   "poincare_ratio")
-        lines = [header]
-        for r in self.rows:
-            lines.append(",".join(
-                f"{x:.17g}" for x in (
-                    r.eps, r.energy_solution, r.energy_recovery,
-                    r.gap_solution, r.gap_recovery, r.equicoercivity,
-                    r.layer_area_over_eps, r.poincare_ratio)))
-        lines.append(f"# energy_limit,{self.energy_limit:.17g}")
-        lines.append(f"# weighted_mass,{self.weighted_mass:.17g}")
-        return lines
+        rows = [tuple(float(x) for x in (
+            r.eps, r.energy_solution, r.energy_recovery, r.gap_solution,
+            r.gap_recovery, r.equicoercivity, r.layer_area_over_eps,
+            r.poincare_ratio)) for r in self.rows]
+        rows.append(("# energy_limit", float(self.energy_limit)))
+        rows.append(("# weighted_mass", float(self.weighted_mass)))
+        return header, rows
+
+    def csv_rows(self):
+        return csv_lines(*self.csv_table())
 
 
 def _observed_orders(eps_list, gaps):
@@ -127,9 +129,10 @@ def gamma_sweep(domain, field, dist, data, eps_list, h, n_t, tol=1e-10,
         e_sol, e_rec = rep_eps.total, rep_rec.total
         if keep_fields:
             fields.append((eps, glued, u_eps))
-        assert e_sol <= e_rec + SANDWICH_SLACK, (
-            f"discrete minimality violated at eps={eps}: "
-            f"{e_sol} > {e_rec}")
+        if not e_sol <= e_rec + SANDWICH_SLACK:
+            raise ConvergenceCheckFailure(
+                f"discrete minimality violated at eps={eps}: "
+                f"{e_sol} > {e_rec}")
         rows.append(GammaSweepRow(
             eps=eps,
             energy_solution=e_sol,
@@ -142,9 +145,10 @@ def gamma_sweep(domain, field, dist, data, eps_list, h, n_t, tol=1e-10,
         ))
 
     monitor = [r.equicoercivity for r in rows]
-    assert max(monitor) <= EQUICOERCIVITY_FACTOR * monitor[0], (
-        "equi-coercivity monitor grew more than "
-        f"{EQUICOERCIVITY_FACTOR}x over the sweep")
+    if not max(monitor) <= EQUICOERCIVITY_FACTOR * monitor[0]:
+        raise ConvergenceCheckFailure(
+            "equi-coercivity monitor grew more than "
+            f"{EQUICOERCIVITY_FACTOR}x over the sweep")
 
     report = GammaSweepReport(
         rows=rows,
@@ -157,6 +161,15 @@ def gamma_sweep(domain, field, dist, data, eps_list, h, n_t, tol=1e-10,
     return report
 
 
+def _arc_values(a, field, fid, lam):
+    """Weight ``a`` (default 1) at the global arc coordinates of ``lam``."""
+    if a is None:
+        return np.ones_like(lam)
+    domain = field.domain
+    arc = domain.facet_arc_start[fid] + lam * domain.lengths[fid]
+    return np.asarray([a(s) for s in arc], dtype=float)
+
+
 def layer_integral(field, dist, eps, p=1, a=None, v=None):
     """(1/eps) int_{layer} a |v|^p dx by exact fiber quadrature.
 
@@ -164,59 +177,35 @@ def layer_integral(field, dist, eps, p=1, a=None, v=None):
     coordinates to values; both default to 1.  ``a`` is extended constantly
     along fibers.
     """
-    domain = field.domain
     total = 0.0
-    for ci, comp in enumerate(domain.insulated_components):
-        for fid, off, brk in _facet_subsegments(domain, dist, ci):
-            L = domain.lengths[fid]
-            fstart = domain.facet_arc_start[fid]
-            for lo, hi in zip(brk[:-1], brk[1:]):
-                half = 0.5 * (hi - lo)
-                mid = 0.5 * (lo + hi)
-                coords = mid + half * _GAUSS_X
-                lam = (coords - off) / L
-                A, B = _layer_integrand_coeffs(field, fid, lam)
-                d = dist.value_at(ci, coords)
-                T = eps * d
-                base = domain.facet_point(fid, lam)
-                k = field.k_at(fid, lam)
-                arc = fstart + lam * L
-                aval = np.ones_like(coords) if a is None else \
-                    np.asarray([a(s) for s in arc], dtype=float)
-                inner = np.zeros_like(coords)
-                for gx, gw in zip(_T_GX, _T_GW):
-                    t = 0.5 * T * (gx + 1.0)
-                    pts = base + t[:, None] * k
-                    vv = np.ones(len(pts)) if v is None else \
-                        np.asarray(v(pts), dtype=float)
-                    inner += gw * np.abs(vv) ** p * (A + t * B) * 0.5 * T
-                total += half * float(np.dot(_GAUSS_W, aval * inner))
+    for _, fid, lam, d, half in _arc_gauss_nodes(field, dist):
+        A, B = _layer_integrand_coeffs(field, fid, lam)
+        T = eps * d
+        base = field.domain.facet_point(fid, lam)
+        k = field.k_at(fid, lam)
+        aval = _arc_values(a, field, fid, lam)
+        inner = np.zeros_like(lam)
+        for gx, gw in zip(_T_GX, _T_GW):
+            t = 0.5 * T * (gx + 1.0)
+            pts = base + t[:, None] * k
+            vv = np.ones(len(pts)) if v is None else \
+                np.asarray(v(pts), dtype=float)
+            inner += gw * np.abs(vv) ** p * (A + t * B) * 0.5 * T
+        total += half * float(np.dot(_GAUSS_W, aval * inner))
     return total / eps
 
 
 def boundary_integral(field, dist, p=1, a=None, v=None):
     """int_{GI} (k.n) d a |v|^p ds, the limit of ``layer_integral``."""
-    domain = field.domain
     total = 0.0
-    for ci, comp in enumerate(domain.insulated_components):
-        for fid, off, brk in _facet_subsegments(domain, dist, ci):
-            L = domain.lengths[fid]
-            fstart = domain.facet_arc_start[fid]
-            for lo, hi in zip(brk[:-1], brk[1:]):
-                half = 0.5 * (hi - lo)
-                mid = 0.5 * (lo + hi)
-                coords = mid + half * _GAUSS_X
-                lam = (coords - off) / L
-                kn = field.k_dot_n(fid, lam)
-                d = dist.value_at(ci, coords)
-                pts = domain.facet_point(fid, lam)
-                arc = fstart + lam * L
-                aval = np.ones_like(coords) if a is None else \
-                    np.asarray([a(s) for s in arc], dtype=float)
-                vv = np.ones(len(pts)) if v is None else \
-                    np.asarray(v(pts), dtype=float)
-                total += half * float(np.dot(
-                    _GAUSS_W, kn * d * aval * np.abs(vv) ** p))
+    for _, fid, lam, d, half in _arc_gauss_nodes(field, dist):
+        kn = field.k_dot_n(fid, lam)
+        pts = field.domain.facet_point(fid, lam)
+        aval = _arc_values(a, field, fid, lam)
+        vv = np.ones(len(pts)) if v is None else \
+            np.asarray(v(pts), dtype=float)
+        total += half * float(np.dot(
+            _GAUSS_W, kn * d * aval * np.abs(vv) ** p))
     return total
 
 
@@ -244,7 +233,8 @@ def lebesgue_limit_check(v, a, dist, field, eps_list, p=1):
         if errs[i] < 1e-13 or errs[i + 1] < 1e-13:
             continue
         order = np.log2(errs[i] / errs[i + 1])
-        assert order >= MIN_LEBESGUE_ORDER, (
-            f"observed order {order:.3f} below {MIN_LEBESGUE_ORDER} "
-            f"between eps={eps_list[i]} and {eps_list[i+1]}")
+        if not order >= MIN_LEBESGUE_ORDER:
+            raise ConvergenceCheckFailure(
+                f"observed order {order:.3f} below {MIN_LEBESGUE_ORDER} "
+                f"between eps={eps_list[i]} and {eps_list[i+1]}")
     return rows

@@ -79,5 +79,10 @@ class MeshMismatch(SolverError):
     pass
 
 
+class ConvergenceCheckFailure(SolverError):
+    """A vanishing-layer harness check failed: the sandwich inequality, the
+    equi-coercivity monitor, or the observed Lebesgue-limit order."""
+
+
 class NonUniqueWarning(UserWarning):
     """Minimizer uniqueness relies on domain connectivity (no Dirichlet part)."""

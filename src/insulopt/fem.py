@@ -5,6 +5,10 @@ in two flavors deliberately: a consistent 3-point Gauss edge quadrature for
 the Robin interface term (keeps O(h^2) accuracy), and a lumped nodal rule
 w_j = half-sum of adjacent edge lengths for the L1 trace norm, which makes
 the non-smooth term separable and the thickness-elimination algebra exact.
+
+Meshes are immutable once built, so ``stiffness`` caches the unit-coefficient
+stiffness of each mesh (and of each region of a glued mesh) on the mesh at
+first use; every solver and energy evaluator shares those operators.
 """
 from __future__ import annotations
 
@@ -89,50 +93,48 @@ def _tri_geometry(mesh):
     return b, c, 0.5 * area2
 
 
-def assemble_stiffness(mesh, coeff=1.0):
-    """P1 stiffness with a piecewise-constant per-region coefficient.
-
-    ``coeff`` is a scalar or a {region: value} mapping over {BULK, LAYER}.
-    """
-    if isinstance(coeff, dict):
-        cvals = np.array([coeff.get(int(r), 0.0) for r in mesh.region])
-    else:
-        cvals = np.full(len(mesh.tris), float(coeff))
-    if np.any(cvals < 0):
-        raise ValueError("stiffness coefficient must be non-negative")
-    b, c, area = _tri_geometry(mesh)
+def _scatter(mesh, mask, ke):
+    """CSR sum of the element matrices ``ke[i, j, t]`` (3, 3, T) of the
+    triangles ``mesh.tris[mask]``."""
+    tris = mesh.tris[mask].T.astype(np.int32)  # scipy's index type for CSR
+    rows = np.broadcast_to(tris[:, None, :], ke.shape).ravel()
+    cols = np.broadcast_to(tris[None, :, :], ke.shape).ravel()
     n = len(mesh.nodes)
-    scale = cvals / (4.0 * area)
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(mesh.tris[:, i])
-            cols.append(mesh.tris[:, j])
-            vals.append(scale * (b[:, i] * b[:, j] + c[:, i] * c[:, j]))
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
-    return A.tocsr()
+    return sp.csr_matrix((ke.ravel(), (rows, cols)), shape=(n, n))
+
+
+def assemble_stiffness(mesh, coeff=1.0, region=None):
+    """P1 stiffness with a constant coefficient, optionally restricted to
+    the triangles of one region."""
+    if coeff < 0:
+        raise ValueError("stiffness coefficient must be non-negative")
+    mask = slice(None) if region is None else mesh.region == region
+    b, c, area = (x[mask].T for x in _tri_geometry(mesh))
+    ke = b[:, None] * b[None]  # built in place: assembly sets peak memory
+    ke += c[:, None] * c[None]
+    ke *= coeff / (4.0 * area)
+    return _scatter(mesh, mask, ke)
+
+
+def stiffness(mesh, region=None):
+    """Unit stiffness of ``mesh`` (of one region when given), assembled on
+    first use and cached on the mesh.  Every caller shares the matrix, so
+    its arrays are read-only."""
+    K = mesh.stiffness_cache.get(region)
+    if K is None:
+        K = assemble_stiffness(mesh, region=region)
+        for arr in (K.data, K.indices, K.indptr):
+            arr.flags.writeable = False
+        mesh.stiffness_cache[region] = K
+    return K
 
 
 def assemble_mass(mesh, region=None):
     """Consistent P1 mass matrix, optionally restricted to one region."""
-    b, c, area = _tri_geometry(mesh)
-    mask = np.ones(len(mesh.tris), bool) if region is None else (mesh.region == region)
-    n = len(mesh.nodes)
+    mask = slice(None) if region is None else mesh.region == region
+    _, _, area = _tri_geometry(mesh)
     local = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
-    rows, cols, vals = [], [], []
-    tris = mesh.tris[mask]
-    ar = area[mask]
-    for i in range(3):
-        for j in range(3):
-            rows.append(tris[:, i])
-            cols.append(tris[:, j])
-            vals.append(ar * local[i, j])
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
-    return A.tocsr()
+    return _scatter(mesh, mask, local[:, :, None] * area[mask])
 
 
 def assemble_load(mesh, f):
@@ -201,6 +203,24 @@ def assemble_boundary_mass(mesh, edges, weight, lumped=False):
         diag = np.asarray(M.sum(axis=1)).ravel()
         return sp.diags(diag).tocsr()
     return M
+
+
+def robin_boundary_mass(mesh, field, dist):
+    """Consistent Robin interface matrix int_GI u v / ((k.n) d) ds."""
+    domain = mesh.domain
+
+    def weight(fid, lam):
+        kn = field.k_dot_n(fid, lam)
+        ci = domain.component_of_facet(fid)
+        comp = domain.insulated_components[ci]
+        d = dist.value_at(
+            ci, comp.facet_offsets[fid] + lam * domain.lengths[fid])
+        if np.any(kn * d <= 0):
+            raise NonpositiveWeight(f"(k.n) d <= 0 on insulated facet {fid}")
+        return 1.0 / (kn * d)
+
+    edges = mesh.boundary_edges_of(FacetLabel.INSULATED)
+    return assemble_boundary_mass(mesh, edges, weight)
 
 
 def lumped_boundary_diagonal(mesh, chain, nodal_weight):
@@ -296,26 +316,12 @@ def eval_E_limit(mesh, u, field, dist, data, interface="consistent"):
     """
     from .meshing import insulated_chain
 
-    K = assemble_stiffness(mesh, 1.0)
-    grad = 0.5 * float(u @ (K @ u))
-    domain = mesh.domain
+    grad = 0.5 * float(u @ (stiffness(mesh) @ u))
     if interface == "consistent":
-        def w(fid, lam):
-            kn = field.k_dot_n(fid, lam)
-            comp = domain.component_of_facet(fid)
-            compobj = domain.insulated_components[comp]
-            coords = compobj.facet_offsets[fid] + lam * domain.lengths[fid]
-            d = dist.value_at(comp, coords)
-            return 1.0 / (kn * d)
-
-        edges = mesh.boundary_edges_of(FacetLabel.INSULATED)
-        M = assemble_boundary_mass(mesh, edges, w)
-        iface = 0.5 * float(u @ (M @ u))
+        iface = 0.5 * float(u @ (robin_boundary_mass(mesh, field, dist) @ u))
     elif interface == "lumped":
         chain = insulated_chain(mesh, field)
-        dvals = np.concatenate([
-            dist.value_at(ci, cc.coords)
-            for ci, cc in enumerate(chain.components)])
+        dvals = chain.thickness(dist)
         uj = u[chain.nodes]
         nz = dvals > 0
         if np.any(uj[~nz] != 0):
@@ -340,10 +346,8 @@ def eval_E_eps(mesh, u, eps, data):
     """Energy of the thin-layer problem on a glued mesh."""
     if mesh.extrusion is None:
         raise MeshMismatch("eval_E_eps needs an extruded mesh")
-    K_bulk = assemble_stiffness(mesh, {BULK: 1.0, LAYER: 0.0})
-    K_layer = assemble_stiffness(mesh, {BULK: 0.0, LAYER: 1.0})
-    grad_bulk = 0.5 * float(u @ (K_bulk @ u))
-    grad_layer = 0.5 * eps * float(u @ (K_layer @ u))
+    grad_bulk = 0.5 * float(u @ (stiffness(mesh, BULK) @ u))
+    grad_layer = 0.5 * eps * float(u @ (stiffness(mesh, LAYER) @ u))
     source = _source_term(mesh, u, data)
     neum = _neumann_term(mesh, u, data)
     total = grad_bulk + grad_layer - source - neum
@@ -368,8 +372,7 @@ def eval_I(mesh, u, m, data, chain=None):
 
     if chain is None:
         chain = insulated_chain(mesh)
-    K = assemble_stiffness(mesh, 1.0)
-    grad = 0.5 * float(u @ (K @ u))
+    grad = 0.5 * float(u @ (stiffness(mesh) @ u))
     l1 = boundary_l1(chain, u)
     bdry = l1 * l1 / (2.0 * m)
     source = _source_term(mesh, u, data)

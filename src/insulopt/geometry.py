@@ -487,18 +487,24 @@ def layer_jacobian(field, s, t):
     return val
 
 
-def _facet_subsegments(domain, dist, comp_idx):
-    """Per-facet integration breakpoints induced by the nodal thickness."""
-    comp = domain.insulated_components[comp_idx]
-    coords = dist.component_coords[comp_idx]
-    out = []
-    for fid in comp.facets:
-        off = comp.facet_offsets[fid]
-        L = domain.lengths[fid]
-        inner = coords[(coords > off + 1e-14) & (coords < off + L - 1e-14)]
-        brk = np.concatenate([[off], inner, [off + L]])
-        out.append((fid, off, brk))
-    return out
+def _arc_gauss_nodes(field, dist):
+    """Gauss nodes of every insulated facet sub-segment between thickness
+    breakpoints: yields (component, facet, local parameters, thickness
+    values, half sub-segment length)."""
+    domain = field.domain
+    for ci, comp in enumerate(domain.insulated_components):
+        coords = dist.component_coords[ci]
+        for fid in comp.facets:
+            off = comp.facet_offsets[fid]
+            L = domain.lengths[fid]
+            inner = coords[(coords > off + 1e-14) & (coords < off + L - 1e-14)]
+            brk = np.concatenate([[off], inner, [off + L]])
+            for a, b in zip(brk[:-1], brk[1:]):
+                half = 0.5 * (b - a)
+                mid = 0.5 * (a + b)
+                coords_q = mid + half * _GAUSS_X
+                yield (ci, fid, (coords_q - off) / L,
+                       dist.value_at(ci, coords_q), half)
 
 
 def _layer_integrand_coeffs(field, fid, lam):
@@ -520,42 +526,23 @@ def layer_area(field, dist, eps):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    domain = field.domain
     total = 0.0
-    for ci, comp in enumerate(domain.insulated_components):
-        for fid, off, brk in _facet_subsegments(domain, dist, ci):
-            L = domain.lengths[fid]
-            for a, b in zip(brk[:-1], brk[1:]):
-                half = 0.5 * (b - a)
-                mid = 0.5 * (a + b)
-                coords = mid + half * _GAUSS_X
-                lam = (coords - off) / L
-                A, B = _layer_integrand_coeffs(field, fid, lam)
-                d = dist.value_at(ci, coords)
-                T = eps * d
-                dens_top = A + T * B
-                if np.any(dens_top <= 0.0) or np.any(A <= 0.0):
-                    raise NonInjectiveLayer(
-                        f"layer density non-positive on facet {fid}; "
-                        "eps exceeds the injectivity threshold")
-                inner = A * T + 0.5 * B * T**2
-                total += half * float(np.dot(_GAUSS_W, inner))
+    for _, fid, lam, d, half in _arc_gauss_nodes(field, dist):
+        A, B = _layer_integrand_coeffs(field, fid, lam)
+        T = eps * d
+        dens_top = A + T * B
+        if np.any(dens_top <= 0.0) or np.any(A <= 0.0):
+            raise NonInjectiveLayer(
+                f"layer density non-positive on facet {fid}; "
+                "eps exceeds the injectivity threshold")
+        inner = A * T + 0.5 * B * T**2
+        total += half * float(np.dot(_GAUSS_W, inner))
     return total
 
 
 def transversal_mass(field, dist):
     """Weighted amount of material: the exact integral of (k.n) d ds."""
-    domain = field.domain
     total = 0.0
-    for ci, comp in enumerate(domain.insulated_components):
-        for fid, off, brk in _facet_subsegments(domain, dist, ci):
-            L = domain.lengths[fid]
-            for a, b in zip(brk[:-1], brk[1:]):
-                half = 0.5 * (b - a)
-                mid = 0.5 * (a + b)
-                coords = mid + half * _GAUSS_X
-                lam = (coords - off) / L
-                kn = field.k_dot_n(fid, lam)
-                d = dist.value_at(ci, coords)
-                total += half * float(np.dot(_GAUSS_W, kn * d))
+    for _, fid, lam, d, half in _arc_gauss_nodes(field, dist):
+        total += half * float(np.dot(_GAUSS_W, field.k_dot_n(fid, lam) * d))
     return total

@@ -14,10 +14,10 @@ from .fem import (
     assemble_load,
     assemble_mass,
     assemble_neumann,
-    assemble_stiffness,
     dirichlet_nodes,
     eval_E_eps,
     solve_spd,
+    stiffness,
     zero_trace_nodes,
 )
 from .meshing import BULK, LAYER
@@ -37,7 +37,7 @@ def solve_eps(mesh, eps, data, tol=1e-10, max_iter=None):
         raise MeshMismatch(
             f"mesh extruded at eps={mesh.extrusion.eps}, solver called with {eps}")
     data.validate(mesh.domain)
-    A = assemble_stiffness(mesh, {BULK: 1.0, LAYER: eps})
+    A = stiffness(mesh, BULK) + eps * stiffness(mesh, LAYER)
     b = assemble_load(mesh, data.f) + assemble_neumann(mesh, data)
     fixed = {nd: 0.0 for nd in zero_trace_nodes(mesh)}
     fixed.update(dirichlet_nodes(mesh, data))
@@ -55,12 +55,10 @@ def equicoercivity_norms(mesh, u, eps):
     """|u|^2_W + |grad u|^2_W + (1/eps)|u|^2_S + eps |grad u|^2_S and the sum."""
     M_bulk = assemble_mass(mesh, BULK)
     M_layer = assemble_mass(mesh, LAYER)
-    K_bulk = assemble_stiffness(mesh, {BULK: 1.0, LAYER: 0.0})
-    K_layer = assemble_stiffness(mesh, {BULK: 0.0, LAYER: 1.0})
     l2_bulk = float(u @ (M_bulk @ u))
-    h1_bulk = float(u @ (K_bulk @ u))
+    h1_bulk = float(u @ (stiffness(mesh, BULK) @ u))
     l2_layer = float(u @ (M_layer @ u))
-    h1_layer = float(u @ (K_layer @ u))
+    h1_layer = float(u @ (stiffness(mesh, LAYER) @ u))
     total = l2_bulk + h1_bulk + l2_layer / eps + eps * h1_layer
     return {
         "l2_bulk_sq": l2_bulk,

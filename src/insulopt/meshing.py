@@ -99,6 +99,10 @@ class TriMesh:
     n_bulk_tris: int
     extrusion: ExtrusionInfo | None = None
     interface_edges: np.ndarray | None = None
+    # unit stiffness per region (None = whole mesh), filled lazily by
+    # fem.stiffness; sound because a mesh is never modified once built
+    stiffness_cache: dict = dc_field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
 
     def signed_areas(self):
         p = self.nodes[self.tris]
@@ -227,10 +231,11 @@ class InsulatedChain:
     coords: np.ndarray
     weights: np.ndarray
     kn: np.ndarray
-    node_pos: dict = dc_field(default_factory=dict)
 
-    def __post_init__(self):
-        self.node_pos = {int(nd): i for i, nd in enumerate(self.nodes)}
+    def thickness(self, dist):
+        """Values of the thickness profile ``dist`` at the chain nodes."""
+        return np.concatenate([dist.value_at(ci, cc.coords)
+                               for ci, cc in enumerate(self.components)])
 
 
 def insulated_chain(mesh, field=None):
@@ -344,8 +349,10 @@ def extrude_layer(bulk, field, dist, eps, n_t):
         if not active:
             fiber_nodes.append(np.zeros((0, n_t + 1), dtype=int))
             continue
-        # after the zero-node check, components are all-active or all-skipped
-        assert len(active) == len(cc.nodes)
+        if len(active) != len(cc.nodes):
+            raise MeshFailure(
+                "insulated component is only partly extruded; the zero-node "
+                "check should leave it all-active or all-skipped")
         fibers = np.zeros((len(cc.nodes), n_t + 1), dtype=int)
         for j, node in enumerate(cc.nodes):
             fibers[j, 0] = node

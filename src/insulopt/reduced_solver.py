@@ -20,12 +20,12 @@ from .fem import (
     apply_dirichlet,
     assemble_load,
     assemble_neumann,
-    assemble_stiffness,
     boundary_l1,
     dirichlet_nodes,
     eval_I,
     lumped_boundary_diagonal,
     solve_spd,
+    stiffness,
 )
 from .meshing import insulated_chain
 
@@ -111,7 +111,7 @@ def _setup(mesh, m, data):
     if m <= 0:
         raise ValueError("mass must be positive")
     chain = insulated_chain(mesh)
-    K = assemble_stiffness(mesh, 1.0)
+    K = stiffness(mesh)
     b = assemble_load(mesh, data.f) + assemble_neumann(mesh, data)
     fixed = dirichlet_nodes(mesh, data)
     if not fixed:
@@ -216,7 +216,7 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
     discrete coupled functional; nodes with v_j = 0 become zero constraints.
     """
     chain, _, _ = _setup(mesh, m, data)
-    K = assemble_stiffness(mesh, 1.0)
+    K = stiffness(mesh)
     b = assemble_load(mesh, data.f) + assemble_neumann(mesh, data)
     fixed_base = dirichlet_nodes(mesh, data)
 
@@ -225,11 +225,8 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
     zero_nodes: list[int] = []
     I_old = None
     for it in range(1, max_iter + 1):
-        mask = np.ones(len(chain.nodes), bool)
-        for nd in zero_nodes:
-            mask[chain.node_pos[nd]] = False
-        M = lumped_boundary_diagonal(
-            mesh, _mask_chain(chain, mask), weight[mask])
+        # the weight is zero at the zero-constrained nodes
+        M = lumped_boundary_diagonal(mesh, chain, weight)
         fixed = dict(fixed_base)
         for nd in zero_nodes:
             fixed.setdefault(int(nd), 0.0)
@@ -252,16 +249,6 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
         weight = np.zeros(len(chain.nodes))
         weight[~zero_mask] = s / (m * uj[~zero_mask])
     raise NoConvergence(f"alternating minimization stalled after {max_iter} passes")
-
-
-class _MaskedChain:
-    def __init__(self, nodes, weights):
-        self.nodes = nodes
-        self.weights = weights
-
-
-def _mask_chain(chain, mask):
-    return _MaskedChain(chain.nodes[mask], chain.weights[mask])
 
 
 def _report(mesh, chain, u, m, data, iterations, residual, method):

@@ -10,16 +10,15 @@ import numpy as np
 from .errors import MeshMismatch, NonpositiveWeight
 from .fem import (
     apply_dirichlet,
-    assemble_boundary_mass,
     assemble_load,
     assemble_neumann,
-    assemble_stiffness,
     dirichlet_nodes,
     eval_E_limit,
     lumped_boundary_diagonal,
+    robin_boundary_mass,
     solve_spd,
+    stiffness,
 )
-from .geometry import FacetLabel
 from .meshing import BULK, insulated_chain
 
 
@@ -31,47 +30,20 @@ def robin_operator(mesh, field, dist, quadrature="consistent"):
     with d_j = 0 into hard zero constraints (the limit of the penalization).
     Returns (matrix, extra zero-constrained nodes).
     """
-    domain = mesh.domain
-    K = assemble_stiffness(mesh, 1.0)
     if quadrature == "consistent":
-        def w(fid, lam):
-            kn = field.k_dot_n(fid, lam)
-            ci = domain.component_of_facet(fid)
-            comp = domain.insulated_components[ci]
-            coords = comp.facet_offsets[fid] + lam * domain.lengths[fid]
-            d = dist.value_at(ci, coords)
-            if np.any(kn * d <= 0):
-                raise NonpositiveWeight(
-                    f"(k.n) d <= 0 on insulated facet {fid}")
-            return 1.0 / (kn * d)
-
-        edges = mesh.boundary_edges_of(FacetLabel.INSULATED)
-        M = assemble_boundary_mass(mesh, edges, w)
-        return K + M, []
+        return stiffness(mesh) + robin_boundary_mass(mesh, field, dist), []
     if quadrature == "lumped":
         chain = insulated_chain(mesh, field)
-        dvals = np.concatenate([
-            dist.value_at(ci, cc.coords)
-            for ci, cc in enumerate(chain.components)])
+        dvals = chain.thickness(dist)
         if np.any(dvals < 0):
             raise NonpositiveWeight("negative thickness on the insulated part")
         nz = dvals > 0
         weight = np.zeros_like(dvals)
         weight[nz] = 1.0 / (chain.kn[nz] * dvals[nz])
-        M = lumped_boundary_diagonal(mesh, _subchain(chain, nz), weight[nz])
+        M = lumped_boundary_diagonal(mesh, chain, weight)
         zero_nodes = [int(n) for n in chain.nodes[~nz]]
-        return K + M, zero_nodes
+        return stiffness(mesh) + M, zero_nodes
     raise ValueError("quadrature must be 'consistent' or 'lumped'")
-
-
-class _SubChain:
-    def __init__(self, nodes, weights):
-        self.nodes = nodes
-        self.weights = weights
-
-
-def _subchain(chain, mask):
-    return _SubChain(chain.nodes[mask], chain.weights[mask])
 
 
 def solve_limit(mesh, field, dist, data, tol=1e-10, max_iter=None,
@@ -100,7 +72,4 @@ def solve_limit(mesh, field, dist, data, tol=1e-10, max_iter=None,
 
 
 def _min_thickness(mesh, dist):
-    lo = np.inf
-    for ci, cc in enumerate(insulated_chain(mesh).components):
-        lo = min(lo, float(np.min(dist.value_at(ci, cc.coords))))
-    return lo
+    return float(np.min(insulated_chain(mesh).thickness(dist)))

@@ -83,12 +83,13 @@ def write_boundary_vtk(path, points, segments, point_fields, title="profile"):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def csv_lines(header, rows):
+    """Header and one line per row; floats get 17 significant digits."""
+    return [header] + [
+        ",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row)
+        for row in rows]
+
+
 def write_csv(path, header, rows):
     """CSV with 17-significant-digit floats (bit-stable across runs)."""
-    lines = [header]
-    for row in rows:
-        cells = []
-        for x in row:
-            cells.append(f"{x:.17g}" if isinstance(x, float) else str(x))
-        lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(csv_lines(header, rows)) + "\n")

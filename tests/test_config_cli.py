@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from insulopt.cli import main
+from insulopt.cli import _build_problem, _distribution, main
 from insulopt.config import apply_overrides, parse_config, validate_config
+from insulopt.convergence import gamma_sweep
 from insulopt.errors import SchemaError
 
 PSEUDO1D = {
@@ -146,6 +147,14 @@ def test_cli_gamma_sweep_csv(tmp_path, capsys):
     assert text.startswith("eps,energy_solution")
     terms = parse_terms(capsys.readouterr().out)
     assert terms["E_LIMIT"][0] == pytest.approx(0.25, abs=1e-9)
+    # the file holds exactly the report's own CSV lines
+    run = parse_config(json.dumps(cfg))
+    _, field, _, data = _build_problem(run, need_mesh=False)
+    report = gamma_sweep(field.domain, field, _distribution(run, field), data,
+                         run.solver.epsilon_list, h=run.solver.h,
+                         n_t=run.solver.n_t, tol=run.solver.tol)
+    assert (tmp_path / "out" / "gamma.csv").read_bytes() == \
+        ("\n".join(report.csv_rows()) + "\n").encode()
 
 
 def test_cli_check_lebesgue(tmp_path, capsys):

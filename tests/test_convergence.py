@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import insulopt
 from insulopt.convergence import (
     boundary_integral,
     gamma_sweep,
@@ -8,7 +13,12 @@ from insulopt.convergence import (
     lebesgue_limit_check,
     recovery_sequence,
 )
-from insulopt.errors import MeshMismatch, NonInjectiveLayer
+from insulopt.errors import (
+    ConvergenceCheckFailure,
+    MeshMismatch,
+    NonInjectiveLayer,
+    SolverError,
+)
 from insulopt.fem import ProblemData
 from insulopt.geometry import (
     InsulationDistribution,
@@ -122,3 +132,49 @@ def test_lebesgue_weighted_p1(square_all_insulated):
     rows = lebesgue_limit_check(v, a, dist, field, [0.08, 0.04, 0.02], p=1)
     errs = [r[3] for r in rows]
     assert all(a1 > b1 for a1, b1 in zip(errs, errs[1:]))
+
+
+HARNESS_CHECK_RUN = """
+import sys
+import numpy as np
+import insulopt.convergence as conv
+from insulopt import ConvergenceCheckFailure, InsulationDistribution
+from insulopt import PolygonalDomain, ProblemData, build_transversal_field
+
+assert not __debug__, "expected python -O"
+setattr(conv, sys.argv[1], float(sys.argv[2]))
+square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+try:
+    if sys.argv[1] == "MIN_LEBESGUE_ORDER":
+        domain = PolygonalDomain(square, ["insulated"] * 4)
+        field = build_transversal_field(domain, "bisector")
+        dist = InsulationDistribution.constant(field, 1.0)
+        conv.lebesgue_limit_check(lambda p: 1.0 + p[:, 0] * p[:, 1], None,
+                                  dist, field, [0.08, 0.04], p=1)
+    else:
+        domain = PolygonalDomain(
+            square, ["neumann", "insulated", "neumann", "dirichlet"])
+        field = build_transversal_field(domain, "facet_normal")
+        dist = InsulationDistribution.constant(field, 1.0)
+        conv.gamma_sweep(domain, field, dist, ProblemData(u_D=1.0),
+                         [0.2, 0.1], h=0.25, n_t=2)
+except ConvergenceCheckFailure as exc:
+    print("raised", exc)
+"""
+
+
+@pytest.mark.parametrize("name,value", [
+    ("SANDWICH_SLACK", -1), ("EQUICOERCIVITY_FACTOR", 0),
+    ("MIN_LEBESGUE_ORDER", 100)])
+def test_harness_checks_survive_python_O(name, value):
+    # each check must raise a typed error even with asserts stripped
+    src = os.path.dirname(os.path.dirname(insulopt.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", HARNESS_CHECK_RUN, name, str(value)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised"), proc.stdout
+    assert issubclass(ConvergenceCheckFailure, SolverError)  # CLI exit code 3

@@ -4,6 +4,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from insulopt import fem
+from insulopt.convergence import gamma_sweep
 from insulopt.errors import NoConvergence, NonpositiveWeight, UnknownLabel
 from insulopt.fem import (
     ProblemData,
@@ -15,6 +17,7 @@ from insulopt.fem import (
     boundary_l1,
     dirichlet_nodes,
     solve_spd,
+    stiffness,
 )
 from insulopt.geometry import (
     FacetLabel,
@@ -22,7 +25,15 @@ from insulopt.geometry import (
     PolygonalDomain,
     build_transversal_field,
 )
-from insulopt.meshing import TriMesh, insulated_chain, triangulate_bulk
+from insulopt.meshing import (
+    BULK,
+    LAYER,
+    TriMesh,
+    extrude_layer,
+    insulated_chain,
+    triangulate_bulk,
+)
+from insulopt.reduced_solver import solve_reduced
 from insulopt.robin_solver import solve_limit
 
 from conftest import pseudo1d_domain, pseudo1d_setup
@@ -192,3 +203,73 @@ def test_robin_operator_symmetric_spd():
     A, _ = robin_operator(mesh, field, dist)
     asym = abs(A - A.T).max()
     assert asym <= 1e-12 * abs(A).max()
+
+
+# -- per-mesh stiffness store -------------------------------------------------
+
+def lshape_glued(lshape_all_insulated, eps=0.05):
+    field = build_transversal_field(lshape_all_insulated, "bisector")
+    dist = InsulationDistribution.constant(field, 1.0)
+    bulk = triangulate_bulk(lshape_all_insulated, 0.25)
+    return field, dist, extrude_layer(bulk, field, dist, eps, n_t=2)
+
+
+@pytest.fixture
+def stiffness_calls(monkeypatch):
+    """Counts calls of fem.assemble_stiffness, the one assembly routine."""
+    calls = []
+    original = fem.assemble_stiffness
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "assemble_stiffness", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n_eps", [1, 3])
+def test_gamma_sweep_assembles_each_stiffness_once(
+        lshape_all_insulated, stiffness_calls, n_eps):
+    field = build_transversal_field(lshape_all_insulated, "bisector")
+    dist = InsulationDistribution.constant(field, 1.0)
+    eps_list = [0.1 / 2**i for i in range(n_eps)]
+    gamma_sweep(lshape_all_insulated, field, dist, ProblemData(f=1.0),
+                eps_list, h=0.25, n_t=2)
+    # the bulk mesh once, then the two regions of every glued mesh
+    assert len(stiffness_calls) <= 1 + 2 * n_eps
+
+
+def test_second_reduced_solve_assembles_nothing(stiffness_calls):
+    _, _, mesh, data = pseudo1d_setup(h=0.25)
+    for method in ("alternating", "proxgrad"):
+        solve_reduced(mesh, 1.0, data, method=method)
+        stiffness_calls.clear()
+        solve_reduced(mesh, 1.0, data, method=method)
+        assert stiffness_calls == []
+
+
+def test_region_stiffness_sums_to_full(lshape_all_insulated):
+    _, _, glued = lshape_glued(lshape_all_insulated)
+    K = stiffness(glued, BULK) + stiffness(glued, LAYER)
+    full = assemble_stiffness(glued)
+    assert np.abs(K - full).max() <= 1e-14 * np.abs(full).max()
+    assert stiffness(glued) is stiffness(glued)
+    with pytest.raises(ValueError):
+        stiffness(glued).data[0] = 0.0  # the shared matrix is read-only
+
+
+def test_region_stiffness_holds_only_its_triangles(lshape_all_insulated):
+    _, _, glued = lshape_glued(lshape_all_insulated)
+    for region in (BULK, LAYER):
+        tris = glued.tris[glued.region == region]
+        pairs = {(a, b) for t in tris for a in t for b in t}
+        K = stiffness(glued, region).tocoo()
+        assert set(zip(K.row.tolist(), K.col.tolist())) <= pairs
+        assert stiffness(glued, region).nnz == len(pairs)
+
+
+def test_meshes_start_with_an_empty_stiffness_store(lshape_all_insulated):
+    _, _, glued = lshape_glued(lshape_all_insulated)
+    bulk = triangulate_bulk(lshape_all_insulated, 0.25)
+    assert bulk.stiffness_cache == {} and glued.stiffness_cache == {}
