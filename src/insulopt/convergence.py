@@ -45,12 +45,8 @@ def recovery_sequence(u, glued):
         raise MeshMismatch("bulk field does not match the glued mesh prefix")
     v = np.zeros(len(glued.nodes))
     v[:glued.n_bulk_nodes] = u
-    n_t = ext.n_t
-    for fibers in ext.fiber_nodes:
-        for row in fibers:
-            base = u[row[0]]
-            for lev in range(1, n_t + 1):
-                v[row[lev]] = base * (n_t - lev) / n_t
+    fibers, n_t = ext.fibers, ext.n_t
+    v[fibers[:, 1:]] = u[fibers[:, :1]] * (n_t - np.arange(1, n_t + 1)) / n_t
     return v
 
 

@@ -157,47 +157,50 @@ def assemble_load(mesh, f):
 def assemble_neumann(mesh, data):
     """Boundary flux vector over the Neumann facets."""
     vec = np.zeros(len(mesh.nodes))
-    for a, b, fid in mesh.boundary_edges_of(FacetLabel.NEUMANN):
-        g = data.facet_value(data.g, fid)
-        L = float(np.hypot(*(mesh.nodes[b] - mesh.nodes[a])))
-        vec[a] += 0.5 * g * L
-        vec[b] += 0.5 * g * L
+    edges = mesh.boundary_edges_of(FacetLabel.NEUMANN)
+    facets, at = np.unique(edges[:, 2], return_inverse=True)
+    g = np.array([data.facet_value(data.g, fid) for fid in facets])[at]
+    half_flux = 0.5 * g * _lengths(mesh, edges)
+    # both ends of an edge in turn, edge by edge
+    np.add.at(vec, edges[:, :2].ravel(), np.repeat(half_flux, 2))
     return vec
 
 
-def _edge_weight_values(mesh, edges, weight):
-    """Evaluate a boundary weight at the Gauss points of each edge."""
-    out = []
-    for a, b, fid in edges:
-        la = mesh.node_facet_param[a][fid]
-        lb = mesh.node_facet_param[b][fid]
-        lam = la + (lb - la) * _EDGE_GX
-        out.append(weight(fid, lam))
-    return out
+def _lengths(mesh, edges):
+    d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
+    return np.hypot(d[:, 0], d[:, 1])
 
 
 def assemble_boundary_mass(mesh, edges, weight, lumped=False):
     """Weighted edge mass matrix sum_e int_e w phi_i phi_j ds.
 
-    ``edges`` is a list of (node_a, node_b, facet_id); ``weight`` maps
-    (facet_id, local parameters) to positive values.  The lumped variant is
-    the row-sum diagonal of the consistent matrix.
+    ``edges`` holds (node_a, node_b, facet_id) rows; ``weight`` maps
+    (facet_id, local parameters) to positive values and is called once per
+    facet on the Gauss points of all its edges.  The lumped variant is the
+    row-sum diagonal of the consistent matrix.
     """
     n = len(mesh.nodes)
-    rows, cols, vals = [], [], []
-    wq_all = _edge_weight_values(mesh, edges, weight)
-    for (a, b, fid), wq in zip(edges, wq_all):
-        if np.any(wq <= 0):
-            raise NonpositiveWeight(f"boundary weight <= 0 on facet {fid}")
-        L = float(np.hypot(*(mesh.nodes[b] - mesh.nodes[a])))
-        phia = 1.0 - _EDGE_GX
-        phib = _EDGE_GX
-        maa = L * float(np.sum(_EDGE_GW * wq * phia * phia))
-        mab = L * float(np.sum(_EDGE_GW * wq * phia * phib))
-        mbb = L * float(np.sum(_EDGE_GW * wq * phib * phib))
-        rows += [a, a, b, b]
-        cols += [a, b, a, b]
-        vals += [maa, mab, mab, mbb]
+    edges = np.asarray(edges, dtype=int).reshape(-1, 3)
+    a, b, fid = edges.T
+    par = mesh.node_facet_param
+    la, lb = np.array([(par[i][f], par[j][f])
+                       for i, j, f in edges.tolist()]).reshape(-1, 2).T
+    lam = la[:, None] + (lb - la)[:, None] * _EDGE_GX
+    wq = np.empty_like(lam)
+    for f in np.unique(fid):
+        on = fid == f
+        wq[on] = np.reshape(weight(f, lam[on].ravel()), (-1, 3))
+        if np.any(wq[on] <= 0):
+            raise NonpositiveWeight(f"boundary weight <= 0 on facet {f}")
+    L = _lengths(mesh, edges)
+    phia, phib = 1.0 - _EDGE_GX, _EDGE_GX
+    maa = L * np.sum(_EDGE_GW * wq * phia * phia, axis=1)
+    mab = L * np.sum(_EDGE_GW * wq * phia * phib, axis=1)
+    mbb = L * np.sum(_EDGE_GW * wq * phib * phib, axis=1)
+    # entries aa, ab, ba, bb edge by edge, the order duplicates are summed in
+    rows = np.stack([a, a, b, b], axis=1).ravel()
+    cols = np.stack([a, b, a, b], axis=1).ravel()
+    vals = np.stack([maa, mab, mab, mbb], axis=1).ravel()
     M = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     if lumped:
         diag = np.asarray(M.sum(axis=1)).ravel()

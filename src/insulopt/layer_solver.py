@@ -77,23 +77,17 @@ def poincare_fiber_check(mesh, u):
     point-wise inequality (with the full gradient it only gets easier).
     """
     ext = mesh.extrusion
-    worst = 0.0
-    for fibers in ext.fiber_nodes:
-        for row in fibers:
-            vals = u[row]
-            ts = ext.layer_t[row]
-            dt = np.diff(ts)
-            if np.any(dt <= 0):
-                continue  # zero-height fiber
-            slopes = np.diff(vals) / dt
-            tail = np.concatenate([
-                np.cumsum((slopes**2 * dt)[::-1])[::-1], [0.0]])
-            T = ts[-1]
-            for i in range(len(row) - 1):
-                rhs = (T - ts[i]) * tail[i]
-                if rhs <= 0:
-                    if abs(vals[i]) > 1e-14:
-                        worst = max(worst, np.inf)
-                    continue
-                worst = max(worst, vals[i] ** 2 / rhs)
-    return worst
+    fibers = ext.fibers
+    vals, ts = u[fibers], ext.layer_t[fibers]
+    dt = np.diff(ts, axis=1)
+    keep = np.all(dt > 0, axis=1)  # drops zero-height fibers
+    vals, ts, dt = vals[keep], ts[keep], dt[keep]
+    slopes = np.diff(vals, axis=1) / dt
+    tail = np.cumsum((slopes**2 * dt)[:, ::-1], axis=1)[:, ::-1]
+    rhs = (ts[:, -1:] - ts[:, :-1]) * tail
+    head = vals[:, :-1]
+    pos = rhs > 0
+    ratio = np.divide(head**2, rhs, out=np.zeros_like(rhs), where=pos)
+    if np.any(~pos & (np.abs(head) > 1e-14)):
+        return np.inf
+    return float(ratio.max(initial=0.0))

@@ -2,9 +2,18 @@
 
 The bulk mesh comes from ear clipping followed by uniform red refinement,
 which is deterministic and keeps boundary nodes exactly on the polygon
-facets.  The insulating layer is extruded fiber-by-fiber from the insulated
-boundary nodes along the transversal field and glued conformingly: bulk node
-indices are a stable prefix of the glued mesh.
+facets.  The insulating layer is extruded along the transversal field from
+the insulated boundary nodes and glued conformingly.
+
+Glued layout: the bulk nodes and triangles come first, unchanged, so bulk
+indices are a stable prefix.  Then, per extruded insulated component, a
+block of n_chain x n_t fiber nodes follows in fiber-major order (chain node
+j, levels 1..n_t), and its layer triangles follow segment by segment; a
+component with zero thickness throughout gets no block.  Boundary edges are
+the kept bulk edges, then the top edges, then the side edges.  The table
+``fibers[j, l]`` (level 0 is the bulk node) is the one description of the
+layer: every layer consumer (recovery sequence, fiber Poincare check, layer
+offsets) indexes it instead of walking nodes.
 """
 from __future__ import annotations
 
@@ -79,11 +88,14 @@ def ear_clip(vertices):
 class ExtrusionInfo:
     eps: float
     n_t: int
-    chain: "InsulatedChain"
     layer_base: np.ndarray   # per node: base chain node id, -1 outside fibers
     layer_t: np.ndarray      # fiber offset, NaN outside fibers
-    layer_T: np.ndarray      # full fiber height eps*d(s), NaN outside fibers
     fiber_nodes: list        # per component: (n_chain, n_t+1) node id array
+
+    @property
+    def fibers(self):
+        """(N, n_t+1) node ids of all fibers, components in chain order."""
+        return _rows(self.fiber_nodes, self.n_t + 1)
 
 
 @dataclass
@@ -110,24 +122,31 @@ class TriMesh:
                       - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
 
     def edge_lengths(self):
-        p = self.nodes[self.tris]
-        out = []
-        for i in range(3):
-            d = p[:, (i + 1) % 3] - p[:, i]
-            out.append(np.hypot(d[:, 0], d[:, 1]))
-        return np.concatenate(out)
+        return _edge_lengths(self.nodes, self.tris)
+
+    def _label_mask(self, label):
+        """Mask of the boundary edges whose facet carries the domain label."""
+        of_facet = np.array([f.label is label for f in self.domain.facets])
+        fid = self.boundary_facet
+        return (fid >= 0) & of_facet[np.maximum(fid, 0)]
 
     def boundary_edges_of(self, label):
-        """Boundary edges whose facet carries the given domain label."""
-        keep = []
-        for e, fid in zip(self.boundary_edges, self.boundary_facet):
-            if fid >= 0 and self.domain.facets[fid].label is label:
-                keep.append((e[0], e[1], fid))
-        return keep
+        """(E, 3) rows (node_a, node_b, facet id) of the boundary edges
+        whose facet carries the given domain label."""
+        mask = self._label_mask(label)
+        return np.column_stack([self.boundary_edges[mask],
+                                self.boundary_facet[mask]])
 
     def marker_edges(self, marker):
         mask = self.boundary_facet == marker
         return self.boundary_edges[mask]
+
+
+def _edge_lengths(nodes, tris):
+    """Lengths of the three edges of every triangle, edge-major."""
+    p = nodes[tris]
+    return np.concatenate([np.hypot(*(p[:, (i + 1) % 3] - p[:, i]).T)
+                           for i in range(3)])
 
 
 def _refine(nodes, tris, bedges, node_facet_param, domain):
@@ -175,16 +194,7 @@ def triangulate_bulk(domain, h_target):
         node_facet_param.setdefault((i + 1) % n, {})[i] = 1.0
 
     nodes = verts.copy()
-
-    def max_edge(nodes_arr, tris_list):
-        p = nodes_arr[np.asarray(tris_list)]
-        m = 0.0
-        for i in range(3):
-            d = p[:, (i + 1) % 3] - p[:, i]
-            m = max(m, float(np.hypot(d[:, 0], d[:, 1]).max()))
-        return m
-
-    while max_edge(nodes, tris) > 1.5 * h_target:
+    while _edge_lengths(nodes, np.asarray(tris)).max() > 1.5 * h_target:
         nodes, tris, bedges = _refine(nodes, tris, bedges, node_facet_param, domain)
 
     tris = np.asarray(tris, dtype=int)
@@ -308,133 +318,103 @@ def extrude_layer(bulk, field, dist, eps, n_t):
     domain = bulk.domain
     chain = insulated_chain(bulk, field)
 
-    comp_d, comp_facet_nodes, comp_node_facets = [], [], []
-    skipped_facets = set()
+    # fibers[j, l]: node at level l of the fiber over chain node j; level 0
+    # is the bulk node, levels 1..n_t are numbered fiber-major after the bulk
+    levels = np.arange(1, n_t + 1)
+    next_id = len(bulk.nodes)
+    skipped_facets = []
+    fiber_nodes, points, offsets, tris, top, side = [], [], [], [], [], []
     for ci, cc in enumerate(chain.components):
-        comp_obj = domain.insulated_components[ci]
         d = dist.value_at(ci, cc.coords)
-        comp_d.append(d)
-        fnodes = _facet_node_indices(cc, comp_obj)
-        comp_facet_nodes.append(fnodes)
-        nfacets = [set() for _ in range(len(cc.nodes))]
-        for fid, idx in fnodes.items():
+        # a node is extruded when one of its facets has non-zero thickness
+        active = np.zeros(len(cc.nodes), dtype=bool)
+        for fid, idx in _facet_node_indices(
+                cc, domain.insulated_components[ci]).items():
             if np.all(d[idx] == 0.0):
-                skipped_facets.add(fid)
-            for j in idx:
-                nfacets[j].add(fid)
-        comp_node_facets.append(nfacets)
-
-    for ci, cc in enumerate(chain.components):
-        d = comp_d[ci]
-        for j, node in enumerate(cc.nodes):
-            if d[j] == 0.0 and not comp_node_facets[ci][j] <= skipped_facets:
-                raise DegenerateFiber(
-                    f"zero thickness at insulated boundary node {int(node)} "
-                    "on a facet with non-zero thickness")
-
-    nodes = list(map(tuple, bulk.nodes))
-    tris = list(map(tuple, bulk.tris))
-    region = list(bulk.region)
-    fiber_nodes = []
-    new_tris_start = len(tris)
-
-    base_count = len(bulk.nodes)
-    node_base, node_t, node_T = {}, {}, {}
-
-    top_edges, side_edges = [], []
-    for ci, cc in enumerate(chain.components):
-        d = comp_d[ci]
-        active = [j for j in range(len(cc.nodes))
-                  if not comp_node_facets[ci][j] <= skipped_facets]
-        if not active:
+                skipped_facets.append(fid)
+            else:
+                active[idx] = True
+        bad = cc.nodes[(d == 0.0) & active]
+        if len(bad):
+            raise DegenerateFiber(
+                f"zero thickness at insulated boundary node {bad[0]} "
+                "on a facet with non-zero thickness")
+        if not active.any():
             fiber_nodes.append(np.zeros((0, n_t + 1), dtype=int))
             continue
-        if len(active) != len(cc.nodes):
+        if not active.all():
             raise MeshFailure(
                 "insulated component is only partly extruded; the zero-node "
                 "check should leave it all-active or all-skipped")
-        fibers = np.zeros((len(cc.nodes), n_t + 1), dtype=int)
-        for j, node in enumerate(cc.nodes):
-            fibers[j, 0] = node
-            k = field.k_at(cc.node_facet[j], cc.node_lam[j])[0]
-            base_pt = np.asarray(nodes[node])
-            T = eps * d[j]
-            node_base[node] = node
-            node_t[node] = 0.0
-            node_T[node] = T
-            for lev in range(1, n_t + 1):
-                t = T * lev / n_t
-                nodes.append(tuple(base_pt + t * k))
-                nid = len(nodes) - 1
-                fibers[j, lev] = nid
-                node_base[nid] = node
-                node_t[nid] = t
-                node_T[nid] = T
+        n = len(cc.nodes)
+        fibers = np.empty((n, n_t + 1), dtype=int)
+        fibers[:, 0] = cc.nodes
+        fibers[:, 1:] = next_id + np.arange(n * n_t).reshape(n, n_t)
+        next_id += n * n_t
         fiber_nodes.append(fibers)
 
-        n_seg = len(cc.nodes) if cc.cyclic else len(cc.nodes) - 1
-        for j in range(n_seg):
-            jn = (j + 1) % len(cc.nodes)
-            for lev in range(n_t):
-                a0 = fibers[j, lev]
-                b0 = fibers[jn, lev]
-                b1 = fibers[jn, lev + 1]
-                a1 = fibers[j, lev + 1]
-                tris.append((a0, b1, b0))
-                tris.append((a0, a1, b1))
-                region += [LAYER, LAYER]
-            top_edges.append((fibers[j, n_t], fibers[jn, n_t]))
+        k = np.empty((n, 2))
+        for fid in np.unique(cc.node_facet):
+            on = cc.node_facet == fid
+            k[on] = field.k_at(fid, cc.node_lam[on])
+        t = (eps * d)[:, None] * levels / n_t
+        points.append((bulk.nodes[cc.nodes][:, None, :]
+                       + t[:, :, None] * k[:, None, :]).reshape(-1, 2))
+        offsets.append(t)
+
+        seg = np.arange(n if cc.cyclic else n - 1)
+        lo, hi = fibers[seg], fibers[(seg + 1) % n]
+        a0, a1, b0, b1 = lo[:, :-1], lo[:, 1:], hi[:, :-1], hi[:, 1:]
+        tris.append(np.stack([a0, b1, b0, a0, a1, b1], axis=-1).reshape(-1, 3))
+        top.append(np.stack([lo[:, -1], hi[:, -1]], axis=1))
         if not cc.cyclic:
-            for lev in range(n_t):
-                side_edges.append((fibers[0, lev], fibers[0, lev + 1]))
-                side_edges.append((fibers[-1, lev], fibers[-1, lev + 1]))
+            ends = fibers[[0, -1]]
+            side.append(np.stack([ends[:, :-1], ends[:, 1:]], axis=-1)
+                        .swapaxes(0, 1).reshape(-1, 2))
 
-    nodes = np.asarray(nodes, dtype=float)
-    tris = np.asarray(tris, dtype=int)
-    region = np.asarray(region, dtype=np.uint8)
+    nodes = np.concatenate([bulk.nodes, *points])
+    layer_tris = _rows(tris, 3)
+    all_fibers = _rows(fiber_nodes, n_t + 1)
+    layer_base = np.full(len(nodes), -1, dtype=int)
+    layer_base[all_fibers] = all_fibers[:, :1]
+    layer_t = np.full(len(nodes), np.nan)
+    layer_t[all_fibers[:, 0]] = 0.0
+    layer_t[all_fibers[:, 1:]] = _rows(offsets, n_t)
 
-    # boundary bookkeeping: extruded insulated edges become the interface
-    keep, iface = [], []
-    for e, fid in zip(bulk.boundary_edges, bulk.boundary_facet):
-        if fid >= 0 and domain.facets[fid].label is FacetLabel.INSULATED:
-            if fid in skipped_facets:
-                keep.append((e[0], e[1], LAYER_TOP))
-            else:
-                iface.append((e[0], e[1]))
-        else:
-            keep.append((e[0], e[1], fid))
-    keep += [(a, b, LAYER_TOP) for a, b in top_edges]
-    keep += [(a, b, LAYER_SIDE) for a, b in side_edges]
-
-    nbase = np.full(len(nodes), -1, dtype=int)
-    nt = np.full(len(nodes), np.nan)
-    nT = np.full(len(nodes), np.nan)
-    for nid, b in node_base.items():
-        nbase[nid] = b
-        nt[nid] = node_t[nid]
-        nT[nid] = node_T[nid]
+    # boundary bookkeeping: extruded insulated edges become the interface,
+    # then the top edges and the side edges of the layer are appended
+    bfacet = bulk.boundary_facet
+    insulated = bulk._label_mask(FacetLabel.INSULATED)
+    iface = insulated & ~np.isin(bfacet, skipped_facets)
+    top, side = _rows(top, 2), _rows(side, 2)
 
     glued = TriMesh(
         domain=domain,
         nodes=nodes,
-        tris=tris,
-        region=region,
-        boundary_edges=np.array([(a, b) for a, b, _ in keep], dtype=int),
-        boundary_facet=np.array([f for _, _, f in keep], dtype=int),
+        tris=np.concatenate([bulk.tris, layer_tris]),
+        region=np.concatenate([bulk.region,
+                               np.full(len(layer_tris), LAYER, dtype=np.uint8)]),
+        boundary_edges=np.concatenate([bulk.boundary_edges[~iface], top, side]),
+        boundary_facet=np.concatenate([
+            np.where(insulated, LAYER_TOP, bfacet)[~iface],
+            np.full(len(top), LAYER_TOP), np.full(len(side), LAYER_SIDE)]),
         node_facet_param=bulk.node_facet_param,
-        n_bulk_nodes=base_count,
+        n_bulk_nodes=len(bulk.nodes),
         n_bulk_tris=bulk.n_bulk_tris,
-        extrusion=ExtrusionInfo(eps=eps, n_t=n_t, chain=chain,
-                                layer_base=nbase, layer_t=nt, layer_T=nT,
-                                fiber_nodes=fiber_nodes),
-        interface_edges=np.array(iface, dtype=int).reshape(-1, 2),
+        extrusion=ExtrusionInfo(eps=eps, n_t=n_t, layer_base=layer_base,
+                                layer_t=layer_t, fiber_nodes=fiber_nodes),
+        interface_edges=bulk.boundary_edges[iface],
     )
-    areas = glued.signed_areas()
-    if np.any(areas[new_tris_start:] <= 0):
+    if np.any(glued.signed_areas()[len(bulk.tris):] <= 0):
         raise NonInjectiveLayer(
             "extruded layer contains inverted cells; eps exceeds the "
             "injectivity threshold of this mesh")
     return glued
+
+
+def _rows(blocks, width):
+    """Row-wise concatenation of (., width) blocks; (0, width) when none."""
+    return np.concatenate([np.zeros((0, width), dtype=int), *blocks])
 
 
 def _facet_node_indices(cc, comp):

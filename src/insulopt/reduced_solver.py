@@ -213,7 +213,9 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
 
     With the lumped interface rule the Robin weight of the reconstructed
     thickness is s/(m |v_j|), so each pass is an exact block descent on the
-    discrete coupled functional; nodes with v_j = 0 become zero constraints.
+    discrete coupled functional.  Nodes whose weight is not finite (v_j = 0,
+    or |v_j| so small that the weight overflows) become zero constraints,
+    the d_j = 0 limit of the Robin penalization.
     """
     chain, _, _ = _setup(mesh, m, data)
     K = stiffness(mesh)
@@ -243,11 +245,11 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
         if s == 0.0:
             raise ZeroTrace(
                 "insulated trace vanished; optimal thickness is undefined")
-        uj = np.abs(u[chain.nodes])
-        zero_mask = uj == 0.0
+        with np.errstate(divide="ignore", over="ignore"):
+            weight = s / (m * np.abs(u[chain.nodes]))
+        zero_mask = ~np.isfinite(weight)
         zero_nodes = [int(nd) for nd in chain.nodes[zero_mask]]
-        weight = np.zeros(len(chain.nodes))
-        weight[~zero_mask] = s / (m * uj[~zero_mask])
+        weight[zero_mask] = 0.0
     raise NoConvergence(f"alternating minimization stalled after {max_iter} passes")
 
 
@@ -263,10 +265,9 @@ def _report(mesh, chain, u, m, data, iterations, residual, method):
 
 def solve_reduced(mesh, m, data, method="proxgrad", tol=1e-10, max_iter=None):
     """Front end over the two reduced-problem algorithms."""
+    kw = {"max_iter": max_iter} if max_iter else {}
     if method == "proxgrad":
-        kw = {"max_iter": max_iter} if max_iter else {}
         return solve_reduced_proxgrad(mesh, m, data, tol=tol, **kw)
     if method == "alternating":
-        kw = {"max_iter": max_iter} if max_iter else {}
         return solve_reduced_alternating(mesh, m, data, tol=tol, **kw)
     raise ValueError("method must be 'proxgrad' or 'alternating'")

@@ -49,9 +49,8 @@ def reconstruct_distribution(mesh, v, m, field, d_min_warn=None):
     return dist
 
 
-def to_normal_thickness(dist, field=None):
+def to_normal_thickness(dist):
     """Per-component nodal profile d_tilde = (k.n) d along the normal."""
-    field = field or dist.field
     out = []
     for ci, comp in enumerate(dist.domain.insulated_components):
         coords = dist.component_coords[ci]

@@ -36,7 +36,7 @@ from insulopt.meshing import (
 from insulopt.reduced_solver import solve_reduced
 from insulopt.robin_solver import solve_limit
 
-from conftest import pseudo1d_domain, pseudo1d_setup
+from conftest import LSHAPE, NOTCHED, pseudo1d_domain, pseudo1d_setup
 
 
 def unit_right_triangle_mesh():
@@ -96,6 +96,43 @@ def test_boundary_mass_rejects_nonpositive_weight():
     edges = mesh.boundary_edges_of(FacetLabel.INSULATED)
     with pytest.raises(NonpositiveWeight):
         assemble_boundary_mass(mesh, edges, lambda fid, lam: np.zeros_like(lam))
+
+
+@pytest.mark.parametrize("lumped", [False, True])
+@pytest.mark.parametrize("vertices", [LSHAPE, NOTCHED],
+                         ids=["lshape", "notched"])
+def test_boundary_mass_matches_per_edge_loop(vertices, lumped):
+    # NOTCHED has edge lengths that are not powers of two, so scaling by L
+    # is not exact there and any change of arithmetic order shows
+    domain = PolygonalDomain(vertices, ["insulated"] * len(vertices))
+    mesh = triangulate_bulk(domain, 1 / 8)
+    edges = mesh.boundary_edges_of(FacetLabel.INSULATED)
+
+    def weight(fid, lam):
+        return 1 + fid + lam**2
+
+    M = assemble_boundary_mass(mesh, edges, weight, lumped=lumped)
+    # reference: 3-point Gauss on one edge at a time
+    gx = np.array([0.5 - np.sqrt(15) / 10, 0.5, 0.5 + np.sqrt(15) / 10])
+    gw = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+    rows, cols, vals = [], [], []
+    for a, b, fid in edges:
+        la = mesh.node_facet_param[a][fid]
+        lb = mesh.node_facet_param[b][fid]
+        wq = weight(fid, la + (lb - la) * gx)
+        L = float(np.hypot(*(mesh.nodes[b] - mesh.nodes[a])))
+        maa = L * float(np.sum(gw * wq * (1 - gx) * (1 - gx)))
+        mab = L * float(np.sum(gw * wq * (1 - gx) * gx))
+        mbb = L * float(np.sum(gw * wq * gx * gx))
+        rows += [a, a, b, b]
+        cols += [a, b, a, b]
+        vals += [maa, mab, mab, mbb]
+    n = len(mesh.nodes)
+    ref = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    if lumped:
+        ref = sp.diags(np.asarray(ref.sum(axis=1)).ravel()).tocsr()
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(M, name), getattr(ref, name))
 
 
 def test_load_sums_to_source_integral(square_all_insulated):

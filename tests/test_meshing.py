@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from insulopt.errors import DegenerateFiber, NonInjectiveLayer
 from insulopt.geometry import (
@@ -20,7 +22,7 @@ from insulopt.meshing import (
     triangulate_bulk,
 )
 
-from conftest import NOTCHED, pseudo1d_domain
+from conftest import LSHAPE, NOTCHED, SQUARE, pseudo1d_domain
 
 
 def edge_multiset(mesh):
@@ -125,21 +127,67 @@ def test_extrusion_preserves_bulk_prefix(square_all_insulated):
     assert glued.n_bulk_nodes == len(mesh.nodes)
 
 
-def test_glued_mesh_conforming(square_all_insulated):
-    field = build_transversal_field(square_all_insulated, "bisector")
-    mesh = triangulate_bulk(square_all_insulated, 0.25)
-    dist = InsulationDistribution.constant(field, 1.0)
-    glued = extrude_layer(mesh, field, dist, eps=0.1, n_t=2)
+def _two_component_domain():
+    # bottom and top insulated, right Neumann, left Dirichlet
+    return PolygonalDomain([(0, 0), (1, 0), (1, 1), (0, 1)],
+                           ["insulated", "neumann", "insulated", "dirichlet"])
+
+
+GLUED_CASES = {
+    "square": (lambda: PolygonalDomain(SQUARE, ["insulated"] * 4), "bisector"),
+    "lshape": (lambda: PolygonalDomain(LSHAPE, ["insulated"] * 6), "bisector"),
+    "pseudo1d": (pseudo1d_domain, "facet_normal"),
+    "two_components": (_two_component_domain, "facet_normal"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(GLUED_CASES)),
+       n_t=st.integers(1, 5),
+       knots=st.lists(st.floats(0.3, 1.5), min_size=2, max_size=6),
+       eps=st.floats(0.005, 0.05))
+def test_glued_mesh_conforming(case, n_t, knots, eps):
+    make_domain, mode = GLUED_CASES[case]
+    domain = make_domain()
+    field = build_transversal_field(domain, mode)
+    coords = [np.linspace(0.0, comp.length, len(knots),
+                          endpoint=not comp.cyclic)
+              for comp in domain.insulated_components]
+    dist = InsulationDistribution(field, coords,
+                                  [np.array(knots)] * len(coords))
+    mesh = triangulate_bulk(domain, 0.25)
+    glued = extrude_layer(mesh, field, dist, eps, n_t)
+
     edges = edge_multiset(glued)
     boundary = {tuple(sorted(e)) for e in map(tuple, glued.boundary_edges)}
     for e, count in edges.items():
         assert count == (1 if e in boundary else 2)
+    assert np.all(glued.signed_areas() > 0)
     # every insulated-interface node touches both regions
-    iface_nodes = np.unique(glued.interface_edges)
-    for node in iface_nodes:
-        touching = {int(glued.region[t]) for t in range(len(glued.tris))
-                    if node in glued.tris[t]}
+    for node in np.unique(glued.interface_edges):
+        touching = set(glued.region[np.any(glued.tris == node, axis=1)])
         assert touching == {BULK, LAYER}
+
+    ext = glued.extrusion
+    fibers = ext.fibers
+    assert np.array_equal(ext.layer_base[fibers],
+                          np.broadcast_to(fibers[:, :1], fibers.shape))
+    assert np.all(np.diff(ext.layer_t[fibers], axis=1) > 0)
+    # reference: x_j + ((eps d_j) l / n_t) k_j, one fiber node at a time
+    chain = insulated_chain(mesh)
+    for ci, cc in enumerate(chain.components):
+        d = dist.value_at(ci, cc.coords)
+        for j, node in enumerate(cc.nodes):
+            k = field.k_at(cc.node_facet[j], cc.node_lam[j])[0]
+            row = ext.fiber_nodes[ci][j]
+            assert row[0] == node
+            for lev in range(1, n_t + 1):
+                expected = mesh.nodes[node] + eps * d[j] * lev / n_t * k
+                assert np.array_equal(glued.nodes[row[lev]], expected)
+    segments = sum(len(cc.nodes) - (not cc.cyclic) for cc in chain.components)
+    open_ends = sum(not cc.cyclic for cc in chain.components)
+    assert len(glued.marker_edges(LAYER_TOP)) == segments
+    assert len(glued.marker_edges(LAYER_SIDE)) == 2 * n_t * open_ends
 
 
 def test_fiber_coordinates_bounds(square_all_insulated):
@@ -215,11 +263,7 @@ def test_rectilinear_bisector_layers_never_invert(lshape_all_insulated):
 
 
 def test_two_insulated_components():
-    from insulopt.geometry import PolygonalDomain, build_transversal_field
-    # bottom and top insulated, right Neumann, left Dirichlet
-    domain = PolygonalDomain(
-        [(0, 0), (1, 0), (1, 1), (0, 1)],
-        ["insulated", "neumann", "insulated", "dirichlet"])
+    domain = _two_component_domain()
     field = build_transversal_field(domain, "facet_normal")
     assert len(domain.insulated_components) == 2
     mesh = triangulate_bulk(domain, 0.25)

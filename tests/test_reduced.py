@@ -151,3 +151,21 @@ def test_double_min_identity_and_fixed_point():
     u2, _ = solve_limit(mesh, field, d_u, data, tol=1e-13,
                         robin_quadrature="lumped")
     assert np.abs(u2 - u).max() <= 10 * 1e-13 * np.abs(u).max() + 1e-13
+
+
+def test_alternating_overflowing_weight_becomes_zero_constraint(
+        lshape_all_insulated):
+    # at m = 0.5 parts of the trace decay toward 0 (|u_j| ~ 1e-296), where
+    # the weight s/(m|u_j|) overflows; such nodes must be pinned to zero
+    # instead of putting inf into the Robin matrix
+    mesh = triangulate_bulk(lshape_all_insulated, 1 / 16)
+    f = np.random.default_rng(0).uniform(0.5, 1.5, mesh.n_bulk_tris)
+    data = ProblemData(f=f)
+    with pytest.warns(NonUniqueWarning):
+        _, rep_alt = solve_reduced(mesh, 0.5, data, method="alternating")
+        _, rep_pg = solve_reduced(mesh, 0.5, data, method="proxgrad")
+    t = rep_alt.terms
+    lhs = 2.0 * (t["grad"] + t["boundary_l1_sq"])
+    rhs = t["source"] + t["neumann"]
+    assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
+    assert abs(rep_alt.total - rep_pg.total) <= 1e-6 * abs(rep_pg.total)

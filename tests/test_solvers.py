@@ -4,7 +4,7 @@ import pytest
 from insulopt.errors import MeshMismatch, NonpositiveWeight
 from insulopt.fem import ProblemData, eval_E_limit
 from insulopt.geometry import InsulationDistribution, build_transversal_field
-from insulopt.layer_solver import solve_eps
+from insulopt.layer_solver import poincare_fiber_check, solve_eps
 from insulopt.meshing import extrude_layer, triangulate_bulk
 from insulopt.robin_solver import solve_limit
 
@@ -136,6 +136,39 @@ def test_eps_poincare_fiber_inequality_holds():
         glued = extrude_layer(mesh, field, dist, eps, 4)
         _, rep = solve_eps(glued, eps, data, tol=1e-12)
         assert rep.diagnostics["poincare_max_ratio"] <= 1.05
+
+
+def test_poincare_fiber_check_matches_per_fiber_loop(lshape_all_insulated):
+    field = build_transversal_field(lshape_all_insulated, "bisector")
+    dist = InsulationDistribution.constant(field, 1.0)
+    mesh = triangulate_bulk(lshape_all_insulated, 1 / 8)
+    glued = extrude_layer(mesh, field, dist, 0.05, 3)
+    ext = glued.extrusion
+
+    def reference(u):
+        worst = 0.0
+        for fibers in ext.fiber_nodes:
+            for row in fibers:
+                vals, ts = u[row], ext.layer_t[row]
+                slopes = np.diff(vals) / np.diff(ts)
+                tail = np.cumsum((slopes**2 * np.diff(ts))[::-1])[::-1]
+                for i in range(len(row) - 1):
+                    rhs = (ts[-1] - ts[i]) * tail[i]
+                    if rhs <= 0:
+                        if abs(vals[i]) > 1e-14:
+                            worst = np.inf
+                        continue
+                    worst = max(worst, vals[i] ** 2 / rhs)
+        return worst
+
+    u = np.random.default_rng(7).standard_normal(len(glued.nodes))
+    row = ext.fiber_nodes[0][3]
+    u[row] = 0.0  # zero tail energy and zero value: no constraint
+    expected = reference(u)
+    assert np.isfinite(expected)
+    assert poincare_fiber_check(glued, u) == expected
+    u[row] = 0.7  # non-zero constant fiber: the ratio is unbounded
+    assert poincare_fiber_check(glued, u) == reference(u) == np.inf
 
 
 def test_eps_equicoercivity_bounded_over_sweep(square_all_insulated):
