@@ -9,6 +9,11 @@ the non-smooth term separable and the thickness-elimination algebra exact.
 Meshes are immutable once built, so ``stiffness`` caches the unit-coefficient
 stiffness of each mesh (and of each region of a glued mesh) on the mesh at
 first use; every solver and energy evaluator shares those operators.
+
+``solve_spd`` is preconditioned conjugate gradients.  The solvers pass it a
+multigrid V-cycle (``multigrid.preconditioner``) on meshes that carry their
+red-refinement hierarchy, which keeps the iteration count flat in h; other
+meshes fall back to the Jacobi diagonal.
 """
 from __future__ import annotations
 
@@ -249,8 +254,13 @@ def apply_dirichlet(A, b, fixed_values):
                          fixed_values=vals, n=n)
 
 
-def solve_spd(A, b, tol=1e-10, max_iter=None):
-    """Jacobi-preconditioned conjugate gradients for SPD systems."""
+def solve_spd(A, b, tol=1e-10, max_iter=None, precond=None):
+    """Preconditioned conjugate gradients for SPD systems.
+
+    ``precond`` maps a residual r to an approximation of A^-1 r (for
+    example a ``multigrid.VCycle``); without it the preconditioner is the
+    Jacobi diagonal.  Stops at ``tol`` relative residual.
+    """
     n = len(b)
     if n == 0:
         return np.zeros(0)
@@ -261,9 +271,12 @@ def solve_spd(A, b, tol=1e-10, max_iter=None):
     diag = A.diagonal()
     if np.any(diag <= 0):
         raise NoConvergence("matrix is not positive definite (diagonal)")
+    if precond is None:
+        def precond(r):
+            return r / diag
     x = np.zeros(n)
     r = b.copy()
-    z = r / diag
+    z = precond(r)
     p = z.copy()
     rz = float(r @ z)
     for _ in range(max_iter):
@@ -276,7 +289,7 @@ def solve_spd(A, b, tol=1e-10, max_iter=None):
         r -= alpha * Ap
         if np.linalg.norm(r) <= tol * bnorm:
             return x
-        z = r / diag
+        z = precond(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -196,10 +196,6 @@ class PolygonalDomain:
         lam = (s - self.facet_arc_start[fid]) / self.lengths[fid]
         return fid, float(lam)
 
-    def point_at(self, s):
-        fid, lam = self.locate(s)
-        return self.facet_point(fid, lam)
-
     def component_of_facet(self, fid):
         return self._facet_component.get(fid)
 
@@ -411,16 +407,6 @@ class InsulationDistribution:
             v_aug = np.concatenate([v, [v[0]]])
             return np.interp(coord, c_aug, v_aug)
         return np.interp(coord, c, v)
-
-    def value_at_arc(self, s):
-        domain = self.domain
-        fid, lam = domain.locate(s)
-        ci = domain.component_of_facet(fid)
-        if ci is None:
-            raise InvalidDomain(f"arc coordinate {s} is not on the insulated boundary")
-        comp = domain.insulated_components[ci]
-        coord = comp.facet_offsets[fid] + lam * domain.lengths[fid]
-        return float(self.value_at(ci, coord))
 
     def max_value(self):
         return max(float(v.max()) for v in self.component_values)

@@ -21,6 +21,7 @@ from .fem import (
     zero_trace_nodes,
 )
 from .meshing import BULK, LAYER
+from .multigrid import preconditioner
 
 POINCARE_SLACK = 0.05
 
@@ -42,7 +43,8 @@ def solve_eps(mesh, eps, data, tol=1e-10, max_iter=None):
     fixed = {nd: 0.0 for nd in zero_trace_nodes(mesh)}
     fixed.update(dirichlet_nodes(mesh, data))
     sys = apply_dirichlet(A, b, fixed)
-    x = solve_spd(sys.matrix, sys.rhs, tol=tol, max_iter=max_iter)
+    x = solve_spd(sys.matrix, sys.rhs, tol=tol, max_iter=max_iter,
+                  precond=preconditioner(mesh, sys.matrix, sys.free))
     u = sys.expand(x)
 
     report = eval_E_eps(mesh, u, eps, data)

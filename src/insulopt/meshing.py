@@ -2,8 +2,11 @@
 
 The bulk mesh comes from ear clipping followed by uniform red refinement,
 which is deterministic and keeps boundary nodes exactly on the polygon
-facets.  The insulating layer is extruded along the transversal field from
-the insulated boundary nodes and glued conformingly.
+facets.  Each refinement appends its midpoints after the nodes it refines,
+so every level's nodes are a prefix of the next level's, and the mesh keeps
+the parent pairs of the midpoints per level (``TriMesh.hierarchy``, the
+multigrid hierarchy).  The insulating layer is extruded along the
+transversal field from the insulated boundary nodes and glued conformingly.
 
 Glued layout: the bulk nodes and triangles come first, unchanged, so bulk
 indices are a stable prefix.  Then, per extruded insulated component, a
@@ -13,11 +16,13 @@ component with zero thickness throughout gets no block.  Boundary edges are
 the kept bulk edges, then the top edges, then the side edges.  The table
 ``fibers[j, l]`` (level 0 is the bulk node) is the one description of the
 layer: every layer consumer (recovery sequence, fiber Poincare check, layer
-offsets) indexes it instead of walking nodes.
+offsets, the finest multigrid level) indexes it instead of walking nodes.
+Since the bulk is a prefix, a glued mesh carries the bulk hierarchy as is.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import itertools
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -111,10 +116,16 @@ class TriMesh:
     n_bulk_tris: int
     extrusion: ExtrusionInfo | None = None
     interface_edges: np.ndarray | None = None
-    # unit stiffness per region (None = whole mesh), filled lazily by
-    # fem.stiffness; sound because a mesh is never modified once built
+    # red-refinement levels, coarse to fine: the (E, 2) parent nodes of the
+    # E midpoints a level appends after the nodes of the level below it
+    hierarchy: tuple = ()
+    # lazy per-mesh stores, sound because a mesh is never modified once
+    # built: unit stiffness per region (None = whole mesh), filled by
+    # fem.stiffness, and the field-free insulated chain
     stiffness_cache: dict = dc_field(default_factory=dict, init=False,
                                      repr=False, compare=False)
+    chain_cache: InsulatedChain | None = dc_field(
+        default=None, init=False, repr=False, compare=False)
 
     def signed_areas(self):
         p = self.nodes[self.tris]
@@ -177,7 +188,11 @@ def _refine(nodes, tris, bedges, node_facet_param, domain):
         nodes[m] = tuple(domain.facet_point(fid, lm))
         new_bedges += [(a, m, fid), (m, b, fid)]
 
-    return np.array(nodes), new_tris, new_bedges
+    # keys in insertion order, which is the id order of the new nodes;
+    # int32 halves what every mesh keeps
+    parents = np.fromiter(itertools.chain.from_iterable(midpoint),
+                          dtype=np.int32, count=2 * len(midpoint)).reshape(-1, 2)
+    return np.array(nodes), new_tris, new_bedges, parents
 
 
 def triangulate_bulk(domain, h_target):
@@ -194,8 +209,11 @@ def triangulate_bulk(domain, h_target):
         node_facet_param.setdefault((i + 1) % n, {})[i] = 1.0
 
     nodes = verts.copy()
+    hierarchy = []
     while _edge_lengths(nodes, np.asarray(tris)).max() > 1.5 * h_target:
-        nodes, tris, bedges = _refine(nodes, tris, bedges, node_facet_param, domain)
+        nodes, tris, bedges, parents = _refine(nodes, tris, bedges,
+                                               node_facet_param, domain)
+        hierarchy.append(parents)
 
     tris = np.asarray(tris, dtype=int)
     mesh = TriMesh(
@@ -208,6 +226,7 @@ def triangulate_bulk(domain, h_target):
         node_facet_param=node_facet_param,
         n_bulk_nodes=len(nodes),
         n_bulk_tris=len(tris),
+        hierarchy=tuple(hierarchy),
     )
     if np.any(mesh.signed_areas() <= 0):
         raise MeshFailure("triangulation produced a non-positive triangle")
@@ -249,6 +268,27 @@ class InsulatedChain:
 
 
 def insulated_chain(mesh, field=None):
+    """The insulated chain of ``mesh``, with k.n of ``field`` at its nodes
+    (NaN without a field).
+
+    The field-free chain is built on first use and cached on the mesh;
+    every caller shares it, so its arrays are read-only.
+    """
+    chain = mesh.chain_cache
+    if chain is None:
+        chain = mesh.chain_cache = _build_chain(mesh)
+    if field is None:
+        return chain
+    facets = np.concatenate([cc.node_facet for cc in chain.components])
+    lams = np.concatenate([cc.node_lam for cc in chain.components])
+    kn = np.empty(len(facets))
+    for fid in np.unique(facets):
+        on = facets == fid
+        kn[on] = field.k_dot_n(fid, lams[on])
+    return replace(chain, kn=kn)
+
+
+def _build_chain(mesh):
     domain = mesh.domain
     components = []
     for comp in domain.insulated_components:
@@ -277,25 +317,22 @@ def insulated_chain(mesh, field=None):
             length=comp.length,
         ))
 
-    all_nodes, all_coords, all_w, all_kn = [], [], [], []
-    for comp, cc in zip(domain.insulated_components, components):
-        w = _lumped_weights(cc.coords, cc.cyclic, cc.length)
-        if field is None:
-            kn = np.full(len(cc.nodes), np.nan)
-        else:
-            kn = np.array([float(field.k_dot_n(f, l)[0])
-                           for f, l in zip(cc.node_facet, cc.node_lam)])
-        all_nodes.append(cc.nodes)
-        all_coords.append(cc.coords + comp.start_arc)
-        all_w.append(w)
-        all_kn.append(kn)
-    return InsulatedChain(
+    nodes = np.concatenate([cc.nodes for cc in components])
+    chain = InsulatedChain(
         components=components,
-        nodes=np.concatenate(all_nodes),
-        coords=np.concatenate(all_coords),
-        weights=np.concatenate(all_w),
-        kn=np.concatenate(all_kn),
+        nodes=nodes,
+        coords=np.concatenate([cc.coords + comp.start_arc for comp, cc
+                               in zip(domain.insulated_components, components)]),
+        weights=np.concatenate([_lumped_weights(cc.coords, cc.cyclic, cc.length)
+                                for cc in components]),
+        kn=np.full(len(nodes), np.nan),
     )
+    for cc in components:
+        for arr in (cc.nodes, cc.coords, cc.node_facet, cc.node_lam):
+            arr.flags.writeable = False
+    for arr in (chain.nodes, chain.coords, chain.weights, chain.kn):
+        arr.flags.writeable = False
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +441,7 @@ def extrude_layer(bulk, field, dist, eps, n_t):
         extrusion=ExtrusionInfo(eps=eps, n_t=n_t, layer_base=layer_base,
                                 layer_t=layer_t, fiber_nodes=fiber_nodes),
         interface_edges=bulk.boundary_edges[iface],
+        hierarchy=bulk.hierarchy,
     )
     if np.any(glued.signed_areas()[len(bulk.tris):] <= 0):
         raise NonInjectiveLayer(

@@ -28,6 +28,7 @@ from .fem import (
     stiffness,
 )
 from .meshing import insulated_chain
+from .multigrid import preconditioner
 
 POWER_ITERATIONS = 50
 
@@ -233,7 +234,8 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
         for nd in zero_nodes:
             fixed.setdefault(int(nd), 0.0)
         sys = apply_dirichlet(K + M, b, fixed)
-        x = solve_spd(sys.matrix, sys.rhs, tol=tol)
+        x = solve_spd(sys.matrix, sys.rhs, tol=tol,
+                      precond=preconditioner(mesh, sys.matrix, sys.free))
         u = sys.expand(x)
         rep = eval_I(mesh, u, m, data, chain=chain)
         I_new = rep.total

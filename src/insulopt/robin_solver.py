@@ -20,6 +20,7 @@ from .fem import (
     stiffness,
 )
 from .meshing import BULK, insulated_chain
+from .multigrid import preconditioner
 
 
 def robin_operator(mesh, field, dist, quadrature="consistent"):
@@ -61,10 +62,12 @@ def solve_limit(mesh, field, dist, data, tol=1e-10, max_iter=None,
         fixed.setdefault(nd, 0.0)
     if fixed:
         sys = apply_dirichlet(A, b, fixed)
-        x = solve_spd(sys.matrix, sys.rhs, tol=tol, max_iter=max_iter)
+        x = solve_spd(sys.matrix, sys.rhs, tol=tol, max_iter=max_iter,
+                      precond=preconditioner(mesh, sys.matrix, sys.free))
         u = sys.expand(x)
     else:
-        u = solve_spd(A, b, tol=tol, max_iter=max_iter)
+        u = solve_spd(A, b, tol=tol, max_iter=max_iter,
+                      precond=preconditioner(mesh, A))
     report = eval_E_limit(mesh, u, field, dist, data,
                           interface=("lumped" if robin_quadrature == "lumped"
                                      else "consistent"))

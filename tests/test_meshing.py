@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from insulopt import meshing
+from insulopt.convergence import gamma_sweep
 from insulopt.errors import DegenerateFiber, NonInjectiveLayer
+from insulopt.fem import ProblemData
 from insulopt.geometry import (
     InsulationDistribution,
     PolygonalDomain,
@@ -93,6 +96,39 @@ def test_chain_cyclic_covers_perimeter(square_all_insulated):
     # one chain entry per boundary node
     boundary_nodes = {n for e in mesh.boundary_edges for n in e}
     assert set(chain.nodes.tolist()) == boundary_nodes
+
+
+def test_chain_is_built_once_per_mesh(lshape_all_insulated, monkeypatch):
+    built = []
+    original = meshing._build_chain
+    monkeypatch.setattr(meshing, "_build_chain",
+                        lambda mesh: built.append(mesh) or original(mesh))
+    field = build_transversal_field(lshape_all_insulated, "bisector")
+    mesh = triangulate_bulk(lshape_all_insulated, 1 / 16)
+    plain, with_kn = insulated_chain(mesh), insulated_chain(mesh, field)
+    assert insulated_chain(mesh) is plain and built == [mesh]
+    assert np.array_equal(with_kn.nodes, plain.nodes)
+    assert np.all(np.isnan(plain.kn))
+    with pytest.raises(ValueError):
+        plain.weights[0] = 0.0  # the shared chain is read-only
+    # k.n per facet equals k.n node by node: bit for bit on axis-aligned
+    # facets, where k.n is a component of k; elsewhere to rounding, because
+    # one row and many rows take different BLAS kernels in ``k @ n``
+    per_node = [float(field.k_dot_n(f, lam)[0]) for cc in with_kn.components
+                for f, lam in zip(cc.node_facet, cc.node_lam)]
+    assert np.array_equal(with_kn.kn, per_node)
+    notched = PolygonalDomain(NOTCHED, ["insulated"] * 6)
+    oblique = build_transversal_field(notched, "bisector")
+    chain = insulated_chain(triangulate_bulk(notched, 0.5), oblique)
+    per_node = [float(oblique.k_dot_n(f, lam)[0]) for cc in chain.components
+                for f, lam in zip(cc.node_facet, cc.node_lam)]
+    assert np.allclose(chain.kn, per_node, rtol=4.5e-16, atol=0.0)
+    # a sweep builds each mesh's chain at most once
+    built.clear()
+    dist = InsulationDistribution.constant(field, 1.0)
+    gamma_sweep(lshape_all_insulated, field, dist, ProblemData(f=1.0),
+                [0.1, 0.05], h=0.25, n_t=2)
+    assert built and len({id(m) for m in built}) == len(built)
 
 
 # -- extrusion -------------------------------------------------------------------
