@@ -176,26 +176,24 @@ def _lengths(mesh, edges):
     return np.hypot(d[:, 0], d[:, 1])
 
 
-def assemble_boundary_mass(mesh, edges, weight, lumped=False):
-    """Weighted edge mass matrix sum_e int_e w phi_i phi_j ds.
+def assemble_boundary_mass(mesh, label, weight):
+    """Weighted edge mass matrix sum_e int_e w phi_i phi_j ds over the
+    boundary edges whose facet carries ``label``.
 
-    ``edges`` holds (node_a, node_b, facet_id) rows; ``weight`` maps
-    (facet_id, local parameters) to positive values and is called once per
-    facet on the Gauss points of all its edges.  The lumped variant is the
-    row-sum diagonal of the consistent matrix.
+    ``weight`` maps (facet_id, facet parameters lam) to positive values; it
+    is called once per facet on the Gauss points of all its edges, with lam
+    interpolated from ``mesh.boundary_lam`` at the edge ends.
     """
     n = len(mesh.nodes)
-    edges = np.asarray(edges, dtype=int).reshape(-1, 3)
-    a, b, fid = edges.T
-    par = mesh.node_facet_param
-    la, lb = np.array([(par[i][f], par[j][f])
-                       for i, j, f in edges.tolist()]).reshape(-1, 2).T
+    on = mesh.label_mask(label)
+    edges, fid = mesh.boundary_edges[on], mesh.boundary_facet[on]
+    la, lb = mesh.boundary_lam[on].T
     lam = la[:, None] + (lb - la)[:, None] * _EDGE_GX
     wq = np.empty_like(lam)
     for f in np.unique(fid):
-        on = fid == f
-        wq[on] = np.reshape(weight(f, lam[on].ravel()), (-1, 3))
-        if np.any(wq[on] <= 0):
+        at = fid == f
+        wq[at] = np.reshape(weight(f, lam[at].ravel()), (-1, 3))
+        if np.any(wq[at] <= 0):
             raise NonpositiveWeight(f"boundary weight <= 0 on facet {f}")
     L = _lengths(mesh, edges)
     phia, phib = 1.0 - _EDGE_GX, _EDGE_GX
@@ -203,14 +201,11 @@ def assemble_boundary_mass(mesh, edges, weight, lumped=False):
     mab = L * np.sum(_EDGE_GW * wq * phia * phib, axis=1)
     mbb = L * np.sum(_EDGE_GW * wq * phib * phib, axis=1)
     # entries aa, ab, ba, bb edge by edge, the order duplicates are summed in
+    a, b = edges.T
     rows = np.stack([a, a, b, b], axis=1).ravel()
     cols = np.stack([a, b, a, b], axis=1).ravel()
     vals = np.stack([maa, mab, mab, mbb], axis=1).ravel()
-    M = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    if lumped:
-        diag = np.asarray(M.sum(axis=1)).ravel()
-        return sp.diags(diag).tocsr()
-    return M
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def robin_boundary_mass(mesh, field, dist):
@@ -227,8 +222,7 @@ def robin_boundary_mass(mesh, field, dist):
             raise NonpositiveWeight(f"(k.n) d <= 0 on insulated facet {fid}")
         return 1.0 / (kn * d)
 
-    edges = mesh.boundary_edges_of(FacetLabel.INSULATED)
-    return assemble_boundary_mass(mesh, edges, weight)
+    return assemble_boundary_mass(mesh, FacetLabel.INSULATED, weight)
 
 
 def lumped_boundary_diagonal(mesh, chain, nodal_weight):

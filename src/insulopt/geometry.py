@@ -358,6 +358,11 @@ class InsulationDistribution:
                 raise InvalidDomain("thickness must be non-negative")
             if self.d_min > 0 and np.any(vals < self.d_min):
                 raise InvalidDomain("thickness below the declared floor d_min")
+        # k.n at the nodes, one node at a time (one row of ``k @ n`` takes
+        # another BLAS kernel than many rows)
+        self.component_kn = [
+            np.array([self._kn_at(comp, c) for c in coords])
+            for comp, coords in zip(comps, self.component_coords)]
         self.mass = self._lumped_mass()
 
     @classmethod
@@ -415,12 +420,9 @@ class InsulationDistribution:
         total = 0.0
         for ci, comp in enumerate(self.domain.insulated_components):
             coords = self.component_coords[ci]
-            vals = self.component_values[ci]
             w = _lumped_weights(coords, comp.cyclic, comp.length)
-            kn = np.array([
-                self._kn_at(comp, coord) for coord in coords
-            ])
-            total += float(np.sum(w * kn * vals))
+            total += float(np.sum(w * self.component_kn[ci]
+                                  * self.component_values[ci]))
         return total
 
     def _kn_at(self, comp, coord):

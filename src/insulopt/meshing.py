@@ -3,9 +3,13 @@
 The bulk mesh comes from ear clipping followed by uniform red refinement,
 which is deterministic and keeps boundary nodes exactly on the polygon
 facets.  Each refinement appends its midpoints after the nodes it refines,
+numbered in order of first appearance over the triangle edges ab, bc, ca,
 so every level's nodes are a prefix of the next level's, and the mesh keeps
 the parent pairs of the midpoints per level (``TriMesh.hierarchy``, the
-multigrid hierarchy).  The insulating layer is extruded along the
+multigrid hierarchy).  Every boundary edge carries the facet parameter lam
+of both its ends (``TriMesh.boundary_lam``, x = a + lam (b - a) on facet
+[a, b]); a facet's edges run in place by increasing lam, and refinement
+splits each one in place.  The insulating layer is extruded along the
 transversal field from the insulated boundary nodes and glued conformingly.
 
 Glued layout: the bulk nodes and triangles come first, unchanged, so bulk
@@ -17,11 +21,11 @@ the kept bulk edges, then the top edges, then the side edges.  The table
 ``fibers[j, l]`` (level 0 is the bulk node) is the one description of the
 layer: every layer consumer (recovery sequence, fiber Poincare check, layer
 offsets, the finest multigrid level) indexes it instead of walking nodes.
-Since the bulk is a prefix, a glued mesh carries the bulk hierarchy as is.
+Since the bulk is a prefix, a glued mesh carries the bulk hierarchy and the
+bulk's insulated chain as they are; its layer edges have NaN lam.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -111,7 +115,9 @@ class TriMesh:
     region: np.ndarray
     boundary_edges: np.ndarray       # (B,2) node ids
     boundary_facet: np.ndarray       # (B,) facet id or LAYER_TOP/LAYER_SIDE
-    node_facet_param: dict
+    # (B,2) facet parameter lam of both ends, x = a + lam (b - a) on the
+    # edge's facet [a, b]; NaN on layer edges
+    boundary_lam: np.ndarray
     n_bulk_nodes: int
     n_bulk_tris: int
     extrusion: ExtrusionInfo | None = None
@@ -135,7 +141,7 @@ class TriMesh:
     def edge_lengths(self):
         return _edge_lengths(self.nodes, self.tris)
 
-    def _label_mask(self, label):
+    def label_mask(self, label):
         """Mask of the boundary edges whose facet carries the domain label."""
         of_facet = np.array([f.label is label for f in self.domain.facets])
         fid = self.boundary_facet
@@ -144,7 +150,7 @@ class TriMesh:
     def boundary_edges_of(self, label):
         """(E, 3) rows (node_a, node_b, facet id) of the boundary edges
         whose facet carries the given domain label."""
-        mask = self._label_mask(label)
+        mask = self.label_mask(label)
         return np.column_stack([self.boundary_edges[mask],
                                 self.boundary_facet[mask]])
 
@@ -160,70 +166,66 @@ def _edge_lengths(nodes, tris):
                            for i in range(3)])
 
 
-def _refine(nodes, tris, bedges, node_facet_param, domain):
-    nodes = list(map(tuple, nodes))
-    midpoint = {}
-
-    def mid(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in midpoint:
-            pa, pb = nodes[a], nodes[b]
-            nodes.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
-            midpoint[key] = len(nodes) - 1
-        return midpoint[key]
-
-    new_tris = []
-    for a, b, c in tris:
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        new_tris += [(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)]
-
-    new_bedges = []
-    for a, b, fid in bedges:
-        m = mid(a, b)
-        la = node_facet_param[a][fid]
-        lb = node_facet_param[b][fid]
-        lm = 0.5 * (la + lb)
-        node_facet_param.setdefault(m, {})[fid] = lm
-        # place boundary midpoints exactly on the facet
-        nodes[m] = tuple(domain.facet_point(fid, lm))
-        new_bedges += [(a, m, fid), (m, b, fid)]
-
-    # keys in insertion order, which is the id order of the new nodes;
+def _refine(nodes, tris, bedges, bfacet, blam, domain):
+    """One red refinement: split every triangle into four and every
+    boundary edge into two, with the midpoints appended after ``nodes`` in
+    order of first appearance over the triangle edges ab, bc, ca."""
+    n = len(nodes)
+    ends = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    keys, first, inverse = np.unique(lo * n + hi, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
     # int32 halves what every mesh keeps
-    parents = np.fromiter(itertools.chain.from_iterable(midpoint),
-                          dtype=np.int32, count=2 * len(midpoint)).reshape(-1, 2)
-    return np.array(nodes), new_tris, new_bedges, parents
+    parents = np.column_stack([lo, hi])[first[order]].astype(np.int32)
+    nodes = np.concatenate([nodes, (nodes[parents[:, 0]]
+                                    + nodes[parents[:, 1]]) / 2.0])
+
+    a, b, c = tris.T
+    mab, mbc, mca = (n + rank[inverse]).reshape(-1, 3).T
+    tris = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca],
+                    axis=1).reshape(-1, 3)
+
+    # boundary midpoints are placed exactly on their facet
+    ea, eb = bedges.T
+    m = n + rank[np.searchsorted(keys, np.minimum(ea, eb) * n
+                                 + np.maximum(ea, eb))]
+    lam_m = 0.5 * (blam[:, 0] + blam[:, 1])
+    v = domain.vertices  # facet i runs from vertex i to vertex i + 1
+    start, end = v[bfacet], v[(bfacet + 1) % len(v)]
+    nodes[m] = start + lam_m[:, None] * (end - start)
+    bedges = np.stack([ea, m, m, eb], axis=1).reshape(-1, 2)
+    blam = np.stack([blam[:, 0], lam_m, lam_m, blam[:, 1]],
+                    axis=1).reshape(-1, 2)
+    return nodes, tris, bedges, np.repeat(bfacet, 2), blam, parents
 
 
 def triangulate_bulk(domain, h_target):
     """Triangulate the polygon with max edge length <= 1.5*h_target."""
     if h_target <= 0:
         raise ValueError("h_target must be positive")
-    verts = domain.vertices
-    n = len(verts)
-    tris = ear_clip(verts)
-    bedges = [(i, (i + 1) % n, i) for i in range(n)]
-    node_facet_param = {}
-    for i in range(n):
-        node_facet_param.setdefault(i, {})[i] = 0.0
-        node_facet_param.setdefault((i + 1) % n, {})[i] = 1.0
-
-    nodes = verts.copy()
+    nodes = domain.vertices.copy()
+    n = len(nodes)
+    tris = np.asarray(ear_clip(nodes), dtype=int)
+    bfacet = np.arange(n)
+    bedges = np.column_stack([bfacet, (bfacet + 1) % n])
+    blam = np.tile([0.0, 1.0], (n, 1))
     hierarchy = []
-    while _edge_lengths(nodes, np.asarray(tris)).max() > 1.5 * h_target:
-        nodes, tris, bedges, parents = _refine(nodes, tris, bedges,
-                                               node_facet_param, domain)
+    while _edge_lengths(nodes, tris).max() > 1.5 * h_target:
+        nodes, tris, bedges, bfacet, blam, parents = _refine(
+            nodes, tris, bedges, bfacet, blam, domain)
         hierarchy.append(parents)
 
-    tris = np.asarray(tris, dtype=int)
     mesh = TriMesh(
         domain=domain,
-        nodes=np.asarray(nodes, dtype=float),
+        nodes=nodes,
         tris=tris,
         region=np.zeros(len(tris), dtype=np.uint8),
-        boundary_edges=np.array([(a, b) for a, b, _ in bedges], dtype=int),
-        boundary_facet=np.array([f for _, _, f in bedges], dtype=int),
-        node_facet_param=node_facet_param,
+        boundary_edges=bedges,
+        boundary_facet=bfacet,
+        boundary_lam=blam,
         n_bulk_nodes=len(nodes),
         n_bulk_tris=len(tris),
         hierarchy=tuple(hierarchy),
@@ -294,28 +296,25 @@ def _build_chain(mesh):
     for comp in domain.insulated_components:
         ids, coords, nfac, nlam = [], [], [], []
         for j, fid in enumerate(comp.facets):
-            on_facet = [(lam, node) for node, params in mesh.node_facet_param.items()
-                        if fid in params for lam in [params[fid]]]
-            on_facet.sort()
-            off = comp.facet_offsets[fid]
-            L = domain.lengths[fid]
-            for lam, node in on_facet:
-                if j > 0 and lam == 0.0:
-                    continue  # duplicate of the previous facet's end node
-                ids.append(node)
-                coords.append(off + lam * L)
-                nfac.append(fid)
-                nlam.append(lam)
+            on = np.flatnonzero(mesh.boundary_facet == fid)
+            on = on[np.argsort(mesh.boundary_lam[on, 0])]
+            # the facet's nodes by increasing lam; after the first facet the
+            # start node (lam = 0) is the previous facet's end node
+            skip = 1 if j else 0
+            node = np.append(mesh.boundary_edges[on[0], 0],
+                             mesh.boundary_edges[on, 1])[skip:]
+            lam = np.append(mesh.boundary_lam[on[0], 0],
+                            mesh.boundary_lam[on, 1])[skip:]
+            ids.append(node)
+            coords.append(comp.facet_offsets[fid] + lam * domain.lengths[fid])
+            nfac.append(np.full(len(lam), fid))
+            nlam.append(lam)
+        ids, coords, nfac, nlam = map(np.concatenate, (ids, coords, nfac, nlam))
         if comp.cyclic and ids[-1] == ids[0]:
             ids, coords, nfac, nlam = ids[:-1], coords[:-1], nfac[:-1], nlam[:-1]
         components.append(ChainComponent(
-            nodes=np.array(ids, dtype=int),
-            coords=np.array(coords),
-            node_facet=np.array(nfac, dtype=int),
-            node_lam=np.array(nlam),
-            cyclic=comp.cyclic,
-            length=comp.length,
-        ))
+            nodes=ids, coords=coords, node_facet=nfac, node_lam=nlam,
+            cyclic=comp.cyclic, length=comp.length))
 
     nodes = np.concatenate([cc.nodes for cc in components])
     chain = InsulatedChain(
@@ -421,7 +420,7 @@ def extrude_layer(bulk, field, dist, eps, n_t):
     # boundary bookkeeping: extruded insulated edges become the interface,
     # then the top edges and the side edges of the layer are appended
     bfacet = bulk.boundary_facet
-    insulated = bulk._label_mask(FacetLabel.INSULATED)
+    insulated = bulk.label_mask(FacetLabel.INSULATED)
     iface = insulated & ~np.isin(bfacet, skipped_facets)
     top, side = _rows(top, 2), _rows(side, 2)
 
@@ -435,7 +434,9 @@ def extrude_layer(bulk, field, dist, eps, n_t):
         boundary_facet=np.concatenate([
             np.where(insulated, LAYER_TOP, bfacet)[~iface],
             np.full(len(top), LAYER_TOP), np.full(len(side), LAYER_SIDE)]),
-        node_facet_param=bulk.node_facet_param,
+        boundary_lam=np.concatenate([
+            bulk.boundary_lam[~iface],
+            np.full((len(top) + len(side), 2), np.nan)]),
         n_bulk_nodes=len(bulk.nodes),
         n_bulk_tris=bulk.n_bulk_tris,
         extrusion=ExtrusionInfo(eps=eps, n_t=n_t, layer_base=layer_base,
@@ -443,6 +444,7 @@ def extrude_layer(bulk, field, dist, eps, n_t):
         interface_edges=bulk.boundary_edges[iface],
         hierarchy=bulk.hierarchy,
     )
+    glued.chain_cache = bulk.chain_cache
     if np.any(glued.signed_areas()[len(bulk.tris):] <= 0):
         raise NonInjectiveLayer(
             "extruded layer contains inverted cells; eps exceeds the "

@@ -108,31 +108,31 @@ def estimate_spectral_norm(A, iterations=POWER_ITERATIONS):
 
 
 def _setup(mesh, m, data):
+    """The insulated chain, the load vector (source plus Neumann flux) and
+    the Dirichlet node -> value map shared by both reduced methods."""
     data.validate(mesh.domain)
     if m <= 0:
         raise ValueError("mass must be positive")
-    chain = insulated_chain(mesh)
-    K = stiffness(mesh)
     b = assemble_load(mesh, data.f) + assemble_neumann(mesh, data)
     fixed = dirichlet_nodes(mesh, data)
     if not fixed:
         warnings.warn(
             "no Dirichlet part: uniqueness of the reduced minimizer relies "
             "on the connectivity of the domain", NonUniqueWarning)
-    sys = apply_dirichlet(K, b, fixed)
-    free_pos = {int(nd): i for i, nd in enumerate(sys.free)}
-    gamma_free, gamma_w = [], []
-    offset = 0.0
-    for nd, wj in zip(chain.nodes, chain.weights):
-        if int(nd) in free_pos:
-            gamma_free.append(free_pos[int(nd)])
-            gamma_w.append(wj)
-        else:
-            offset += wj * abs(fixed[int(nd)])
-    ws = ProxWorkspace(nodes=np.array(gamma_free, dtype=int),
-                       weights=np.array(gamma_w), mass=m,
-                       fixed_offset=offset)
-    return chain, sys, ws
+    return insulated_chain(mesh), b, fixed
+
+
+def _prox_workspace(chain, sys, m):
+    """Chain nodes of ``sys``'s free unknowns with their weights; the
+    Dirichlet chain nodes enter through the constant ``fixed_offset``."""
+    pos = np.full(sys.n, -1)
+    pos[sys.free] = np.arange(len(sys.free))
+    at = pos[chain.nodes]
+    free = at >= 0
+    fixed_trace = np.abs(sys.expand(np.zeros(len(sys.free)))[chain.nodes])
+    offset = chain.weights[~free] * fixed_trace[~free]
+    return ProxWorkspace(nodes=at[free], weights=chain.weights[free], mass=m,
+                         fixed_offset=float(np.sum(offset)))
 
 
 def _objective(sys, ws, x):
@@ -157,7 +157,9 @@ def _subgradient_residual(sys, ws, x):
 
 def solve_reduced_proxgrad(mesh, m, data, tol=1e-10, max_iter=200_000):
     """Accelerated proximal gradient (restart on objective increase)."""
-    chain, sys, ws = _setup(mesh, m, data)
+    chain, b, fixed = _setup(mesh, m, data)
+    sys = apply_dirichlet(stiffness(mesh), b, fixed)
+    ws = _prox_workspace(chain, sys, m)
     bnorm = float(np.linalg.norm(sys.rhs))
     if bnorm == 0.0:
         u = sys.expand(np.zeros(len(sys.rhs)))
@@ -218,10 +220,8 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
     or |v_j| so small that the weight overflows) become zero constraints,
     the d_j = 0 limit of the Robin penalization.
     """
-    chain, _, _ = _setup(mesh, m, data)
+    chain, b, fixed_base = _setup(mesh, m, data)
     K = stiffness(mesh)
-    b = assemble_load(mesh, data.f) + assemble_neumann(mesh, data)
-    fixed_base = dirichlet_nodes(mesh, data)
 
     gi_len = float(np.sum(chain.weights))
     weight = np.full(len(chain.nodes), gi_len / m)  # uniform thickness start

@@ -51,12 +51,8 @@ def reconstruct_distribution(mesh, v, m, field, d_min_warn=None):
 
 def to_normal_thickness(dist):
     """Per-component nodal profile d_tilde = (k.n) d along the normal."""
-    out = []
-    for ci, comp in enumerate(dist.domain.insulated_components):
-        coords = dist.component_coords[ci]
-        kn = np.array([dist._kn_at(comp, c) for c in coords])
-        out.append(kn * dist.component_values[ci])
-    return out
+    return [kn * vals for kn, vals in zip(dist.component_kn,
+                                          dist.component_values)]
 
 
 def profile_table(dist):

@@ -48,8 +48,7 @@ def unit_right_triangle_mesh():
         region=np.zeros(1, dtype=np.uint8),
         boundary_edges=np.array([(0, 1), (1, 2), (2, 0)]),
         boundary_facet=np.array([0, 1, 2]),
-        node_facet_param={0: {0: 0.0, 2: 1.0}, 1: {0: 1.0, 1: 0.0},
-                          2: {1: 1.0, 2: 0.0}},
+        boundary_lam=np.array([(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]),
         n_bulk_nodes=3,
         n_bulk_tris=1,
     )
@@ -80,45 +79,39 @@ def test_stiffness_kernel_contains_constants(lshape_all_insulated):
 def test_boundary_mass_single_edge():
     domain = pseudo1d_domain()
     mesh = triangulate_bulk(domain, 2.0)  # no refinement: edges = facets
-    edges = mesh.boundary_edges_of(FacetLabel.INSULATED)
-    M = assemble_boundary_mass(mesh, edges, lambda fid, lam: np.ones_like(lam))
-    a, b, _ = edges[0]
+    M = assemble_boundary_mass(mesh, FacetLabel.INSULATED,
+                               lambda fid, lam: np.ones_like(lam))
+    a, b, _ = mesh.boundary_edges_of(FacetLabel.INSULATED)[0]
     sub = M[np.ix_([a, b], [a, b])].toarray()
     assert np.allclose(sub, np.array([[2, 1], [1, 2]]) / 6.0, atol=1e-15)
-    lumped = assemble_boundary_mass(
-        mesh, edges, lambda fid, lam: np.ones_like(lam), lumped=True)
-    assert np.allclose(lumped.diagonal()[[a, b]], [0.5, 0.5], atol=1e-15)
 
 
 def test_boundary_mass_rejects_nonpositive_weight():
     domain = pseudo1d_domain()
     mesh = triangulate_bulk(domain, 2.0)
-    edges = mesh.boundary_edges_of(FacetLabel.INSULATED)
     with pytest.raises(NonpositiveWeight):
-        assemble_boundary_mass(mesh, edges, lambda fid, lam: np.zeros_like(lam))
+        assemble_boundary_mass(mesh, FacetLabel.INSULATED,
+                               lambda fid, lam: np.zeros_like(lam))
 
 
-@pytest.mark.parametrize("lumped", [False, True])
 @pytest.mark.parametrize("vertices", [LSHAPE, NOTCHED],
                          ids=["lshape", "notched"])
-def test_boundary_mass_matches_per_edge_loop(vertices, lumped):
+def test_boundary_mass_matches_per_edge_loop(vertices):
     # NOTCHED has edge lengths that are not powers of two, so scaling by L
     # is not exact there and any change of arithmetic order shows
     domain = PolygonalDomain(vertices, ["insulated"] * len(vertices))
     mesh = triangulate_bulk(domain, 1 / 8)
-    edges = mesh.boundary_edges_of(FacetLabel.INSULATED)
 
     def weight(fid, lam):
         return 1 + fid + lam**2
 
-    M = assemble_boundary_mass(mesh, edges, weight, lumped=lumped)
+    M = assemble_boundary_mass(mesh, FacetLabel.INSULATED, weight)
     # reference: 3-point Gauss on one edge at a time
     gx = np.array([0.5 - np.sqrt(15) / 10, 0.5, 0.5 + np.sqrt(15) / 10])
     gw = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
     rows, cols, vals = [], [], []
-    for a, b, fid in edges:
-        la = mesh.node_facet_param[a][fid]
-        lb = mesh.node_facet_param[b][fid]
+    for (a, b), fid, (la, lb) in zip(mesh.boundary_edges, mesh.boundary_facet,
+                                     mesh.boundary_lam):
         wq = weight(fid, la + (lb - la) * gx)
         L = float(np.hypot(*(mesh.nodes[b] - mesh.nodes[a])))
         maa = L * float(np.sum(gw * wq * (1 - gx) * (1 - gx)))
@@ -129,8 +122,6 @@ def test_boundary_mass_matches_per_edge_loop(vertices, lumped):
         vals += [maa, mab, mab, mbb]
     n = len(mesh.nodes)
     ref = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    if lumped:
-        ref = sp.diags(np.asarray(ref.sum(axis=1)).ravel()).tocsr()
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(M, name), getattr(ref, name))
 

@@ -63,10 +63,131 @@ def test_lshape_orientation_and_euler(lshape_all_insulated):
 
 def test_boundary_nodes_exactly_on_facets(lshape_all_insulated):
     mesh = triangulate_bulk(lshape_all_insulated, 0.2)
-    for node, params in mesh.node_facet_param.items():
-        for fid, lam in params.items():
+    for edge, fid, lams in zip(mesh.boundary_edges, mesh.boundary_facet,
+                               mesh.boundary_lam):
+        for node, lam in zip(edge, lams):
             expected = lshape_all_insulated.facet_point(fid, lam)
             assert np.allclose(mesh.nodes[node], expected, atol=1e-15)
+
+
+def _dict_refine(nodes, tris, bedges, facet_lam, domain):
+    """Reference red refinement: a per-triangle loop with a midpoint dict
+    and a node -> facet -> lam dict of dicts."""
+    nodes = list(map(tuple, nodes))
+    midpoint = {}
+
+    def mid(a, b):
+        key = (a, b) if a < b else (b, a)
+        if key not in midpoint:
+            pa, pb = nodes[a], nodes[b]
+            nodes.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
+            midpoint[key] = len(nodes) - 1
+        return midpoint[key]
+
+    new_tris = []
+    for a, b, c in tris:
+        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
+        new_tris += [(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)]
+
+    new_bedges = []
+    for a, b, fid in bedges:
+        m = mid(a, b)
+        lm = 0.5 * (facet_lam[a][fid] + facet_lam[b][fid])
+        facet_lam.setdefault(m, {})[fid] = lm
+        nodes[m] = tuple(domain.facet_point(fid, lm))
+        new_bedges += [(a, m, fid), (m, b, fid)]
+    parents = np.array(list(midpoint), dtype=np.int32).reshape(-1, 2)
+    return np.array(nodes), new_tris, new_bedges, parents
+
+
+REFINE_CASES = {
+    "lshape": (LSHAPE, ["insulated"] * 6, 1 / 8),
+    "notched": (NOTCHED, ["insulated"] * 6, 0.5),
+    "lshape_mixed": (LSHAPE, ["insulated", "insulated", "dirichlet",
+                              "neumann", "insulated", "neumann"], 1 / 8),
+    "pseudo1d": (SQUARE, ["neumann", "insulated", "neumann", "dirichlet"],
+                 1 / 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFINE_CASES))
+def test_refinement_matches_dict_reference(case):
+    vertices, labels, h = REFINE_CASES[case]
+    domain = PolygonalDomain(vertices, labels)
+    mesh = triangulate_bulk(domain, h)
+
+    n = len(domain.vertices)
+    nodes, tris = domain.vertices.copy(), meshing.ear_clip(domain.vertices)
+    bedges = [(i, (i + 1) % n, i) for i in range(n)]
+    param = {}
+    for i in range(n):
+        param.setdefault(i, {})[i] = 0.0
+        param.setdefault((i + 1) % n, {})[i] = 1.0
+    hierarchy = []
+    while meshing._edge_lengths(nodes, np.asarray(tris)).max() > 1.5 * h:
+        nodes, tris, bedges, parents = _dict_refine(nodes, tris, bedges,
+                                                    param, domain)
+        hierarchy.append(parents)
+    assert len(hierarchy) >= 2
+
+    expected = {
+        "nodes": np.asarray(nodes, dtype=float),
+        "tris": np.asarray(tris, dtype=int),
+        "boundary_edges": np.array([(a, b) for a, b, _ in bedges], dtype=int),
+        "boundary_facet": np.array([f for _, _, f in bedges], dtype=int),
+        "boundary_lam": np.array([(param[a][f], param[b][f])
+                                  for a, b, f in bedges]),
+    }
+    for name, want in expected.items():
+        got = getattr(mesh, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert len(mesh.hierarchy) == len(hierarchy)
+    for got, want in zip(mesh.hierarchy, hierarchy):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@st.composite
+def star_polygons(draw):
+    """Simple CCW polygons, star-shaped about the origin: vertices at
+    increasing angles (every gap below pi) and radii in [0.5, 1], with
+    random facet labels of which at least one is insulated."""
+    n = draw(st.integers(3, 7))
+    gaps = np.array(draw(st.lists(st.floats(1.0, 1.8), min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(st.floats(0.5, 1.0), min_size=n,
+                                   max_size=n)))
+    angles = 2 * np.pi * np.cumsum(gaps) / gaps.sum()
+    labels = draw(st.lists(st.sampled_from(["insulated", "neumann",
+                                            "dirichlet"]),
+                           min_size=n, max_size=n))
+    labels[draw(st.integers(0, n - 1))] = "insulated"
+    vertices = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    return PolygonalDomain(vertices, labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(domain=star_polygons())
+def test_random_polygon_boundary_parameters(domain):
+    mesh = triangulate_bulk(domain, 0.2)
+    assert np.all(mesh.signed_areas() > 0)
+    for fid, facet in enumerate(domain.facets):
+        rows = np.flatnonzero(mesh.boundary_facet == fid)
+        assert np.array_equal(rows, np.arange(rows[0], rows[-1] + 1))
+        lam = mesh.boundary_lam[rows]
+        assert lam[0, 0] == 0.0 and lam[-1, 1] == 1.0
+        assert np.all(lam[:, 0] < lam[:, 1])
+        assert np.array_equal(lam[1:, 0], lam[:-1, 1])
+        # every node is facet_point(fid, lam) bit for bit; the end vertex
+        # (lam = 1) is the polygon vertex itself, which a + (b - a) need not
+        # reproduce in floating point
+        ends = mesh.boundary_edges[rows]
+        inner = lam < 1.0
+        assert np.array_equal(mesh.nodes[ends[inner]],
+                              domain.facet_point(fid, lam[inner]))
+        assert np.array_equal(mesh.nodes[ends[-1, 1]],
+                              domain.vertices[facet.end])
+    chain = insulated_chain(mesh)
+    assert chain.weights.sum() == pytest.approx(domain.insulated_length(),
+                                                rel=1e-13, abs=0.0)
 
 
 def test_mesh_area_matches_polygon(lshape_all_insulated):

@@ -169,3 +169,25 @@ def test_alternating_overflowing_weight_becomes_zero_constraint(
     rhs = t["source"] + t["neumann"]
     assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
     assert abs(rep_alt.total - rep_pg.total) <= 1e-6 * abs(rep_pg.total)
+
+
+@pytest.mark.parametrize("method", ["alternating", "proxgrad"])
+def test_reduced_setup_is_built_once(method, monkeypatch):
+    from insulopt import reduced_solver
+
+    counts = {"assemble_load": 0, "apply_dirichlet": 0}
+    for name in counts:
+        original = getattr(reduced_solver, name)
+
+        def spy(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(reduced_solver, name, spy)
+    domain, field, mesh, data = pseudo1d_setup(h=1 / 8)
+    _, rep = solve_reduced(mesh, 1.0, data, method=method)
+    # one load vector per solve; one Dirichlet elimination per alternating
+    # pass, and one in all for proximal gradients
+    assert counts["assemble_load"] == 1
+    passes = rep.diagnostics["iterations"] if method == "alternating" else 1
+    assert counts["apply_dirichlet"] == passes

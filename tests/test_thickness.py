@@ -133,3 +133,19 @@ def test_profile_table_round_trip():
     for s, d, dt in rows:
         assert 0 <= s < dist.domain.perimeter
         assert d == pytest.approx(dt, abs=1e-14)  # k.n = 1 on this facet
+
+
+def test_kn_is_evaluated_once_per_distribution_node(monkeypatch):
+    domain, field, mesh, _ = pseudo1d_setup(h=1 / 8)
+    calls = []
+    original = field.k_dot_n
+    monkeypatch.setattr(field, "k_dot_n",
+                        lambda fid, lam: calls.append(fid) or original(fid, lam))
+    coords = np.linspace(0.0, 1.0, 9)
+    dist = InsulationDistribution(field, [coords], [1.0 + coords**2])
+    assert len(calls) == len(coords)
+    tilde = to_normal_thickness(dist)
+    profile_table(dist)
+    assert dist._lumped_mass() == dist.mass
+    assert len(calls) == len(coords)
+    assert np.array_equal(tilde[0], dist.component_kn[0] * (1.0 + coords**2))
