@@ -172,22 +172,17 @@ def _profile_geometry(dist):
     from .thickness import to_normal_thickness
 
     domain = dist.domain
-    tilde = to_normal_thickness(dist)
-    pts, segs, dvals, dtvals = [], [], [], []
+    pts, segs = [], []
     for ci, comp in enumerate(domain.insulated_components):
-        start = len(pts)
+        start = sum(map(len, pts))
         coords = dist.component_coords[ci]
-        for c in coords:
-            fid, lam = _component_locate(domain, comp, c)
-            pts.append(tuple(domain.facet_point(fid, lam)))
-        dvals.extend(dist.component_values[ci])
-        dtvals.extend(tilde[ci])
-        for i in range(len(coords) - 1):
-            segs.append((start + i, start + i + 1))
+        pts.append(domain.facet_point(*_component_locate(domain, comp, coords)))
+        segs.extend((start + i, start + i + 1) for i in range(len(coords) - 1))
         if comp.cyclic:
             segs.append((start + len(coords) - 1, start))
-    return np.array(pts), segs, {"d": np.array(dvals),
-                                 "d_normal": np.array(dtvals)}
+    return np.concatenate(pts), segs, {
+        "d": np.concatenate(dist.component_values),
+        "d_normal": np.concatenate(to_normal_thickness(dist))}
 
 
 def cmd_gamma_sweep(cfg):

@@ -10,10 +10,14 @@ Meshes are immutable once built, so ``stiffness`` caches the unit-coefficient
 stiffness of each mesh (and of each region of a glued mesh) on the mesh at
 first use; every solver and energy evaluator shares those operators.
 
-``solve_spd`` is preconditioned conjugate gradients.  The solvers pass it a
-multigrid V-cycle (``multigrid.preconditioner``) on meshes that carry their
-red-refinement hierarchy, which keeps the iteration count flat in h; other
-meshes fall back to the Jacobi diagonal.
+Every linear solve of the three problems goes through ``solve_constrained``:
+the solver modules pass an operator, a right-hand side and the fixed
+node -> value map of ``dirichlet_nodes``.  That one path eliminates the
+fixed nodes, owns the preconditioner choice and runs ``solve_spd``
+(preconditioned conjugate gradients): a multigrid V-cycle
+(``multigrid.preconditioner``) on meshes that carry their red-refinement
+hierarchy, which keeps the iteration count flat in h, and the Jacobi
+diagonal on other meshes.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ from .errors import (
 )
 from .geometry import FacetLabel
 from .meshing import BULK, LAYER, LAYER_TOP
+from .multigrid import preconditioner
 
 # 3-point Gauss on [0,1] (degree 5), used for weighted edge mass matrices
 _EDGE_GX = np.array([0.5 - np.sqrt(15) / 10, 0.5, 0.5 + np.sqrt(15) / 10])
@@ -235,17 +240,35 @@ def lumped_boundary_diagonal(mesh, chain, nodal_weight):
 
 
 def apply_dirichlet(A, b, fixed_values):
-    """Symmetric elimination; ``fixed_values`` maps node -> value."""
+    """Symmetric elimination; ``fixed_values`` maps node -> value.  With
+    nothing fixed the system is ``A`` and ``b`` themselves."""
     n = A.shape[0]
     fixed = np.array(sorted(fixed_values), dtype=int)
     vals = np.array([fixed_values[i] for i in fixed])
+    if not len(fixed):
+        return ReducedSystem(matrix=A, rhs=b, free=np.arange(n), fixed=fixed,
+                             fixed_values=vals, n=n)
     mask = np.ones(n, bool)
     mask[fixed] = False
     free = np.where(mask)[0]
-    A_ff = A[free][:, free].tocsr()
-    b_f = b[free] - A[free][:, fixed] @ vals
-    return ReducedSystem(matrix=A_ff, rhs=b_f, free=free, fixed=fixed,
-                         fixed_values=vals, n=n)
+    A_f = A[free]
+    return ReducedSystem(matrix=A_f[:, free].tocsr(),
+                         rhs=b[free] - A_f[:, fixed] @ vals, free=free,
+                         fixed=fixed, fixed_values=vals, n=n)
+
+
+def solve_constrained(mesh, A, b, fixed, tol=1e-10, max_iter=None):
+    """Solve the SPD system ``A u = b`` on ``mesh`` with u fixed at the
+    nodes of the node -> value map ``fixed``; returns u on all nodes.
+
+    The one solve path of the package: the V-cycle of the mesh hierarchy
+    preconditions the conjugate gradients when there is one, the Jacobi
+    diagonal otherwise.
+    """
+    sys = apply_dirichlet(A, b, fixed)
+    x = solve_spd(sys.matrix, sys.rhs, tol=tol, max_iter=max_iter,
+                  precond=preconditioner(mesh, sys.matrix, sys.free))
+    return sys.expand(x)
 
 
 def solve_spd(A, b, tol=1e-10, max_iter=None, precond=None):
@@ -397,17 +420,13 @@ def eval_I(mesh, u, m, data, chain=None):
     )
 
 
-def dirichlet_nodes(mesh, data):
-    """Fixed node -> value map from the Dirichlet facets."""
-    fixed = {}
-    for a, b, fid in mesh.boundary_edges_of(FacetLabel.DIRICHLET):
-        ud = data.facet_value(data.u_D, fid)
-        fixed[int(a)] = ud
-        fixed[int(b)] = ud
+def dirichlet_nodes(mesh, data, zero_nodes=()):
+    """Fixed node -> value map of a solve: u_D on the Dirichlet facets (the
+    later edge wins at a shared corner), zero on the outer layer boundary of
+    a glued mesh and at ``zero_nodes``; a Dirichlet value wins over a zero."""
+    top = np.unique(mesh.marker_edges(LAYER_TOP))
+    fixed = dict.fromkeys([*np.asarray(zero_nodes).tolist(), *top.tolist()],
+                          0.0)
+    for a, b, fid in mesh.boundary_edges_of(FacetLabel.DIRICHLET).tolist():
+        fixed[a] = fixed[b] = data.facet_value(data.u_D, fid)
     return fixed
-
-
-def zero_trace_nodes(mesh):
-    """Nodes on the outer layer boundary (hard zero constraint)."""
-    top = mesh.marker_edges(LAYER_TOP)
-    return [int(i) for i in np.unique(top)] if len(top) else []

@@ -104,6 +104,8 @@ class PolygonalDomain:
             raise InvalidDomain("need one facet label per polygon side")
         self.vertices = vertices
         self.facets = [Facet(i, (i + 1) % n, labels[i]) for i in range(n)]
+        # (start, end) vertex of every facet, for array-valued evaluations
+        self.facet_vertices = np.array([(f.start, f.end) for f in self.facets])
 
         edges = vertices[(np.arange(n) + 1) % n] - vertices
         self.lengths = np.hypot(edges[:, 0], edges[:, 1])
@@ -184,8 +186,10 @@ class PolygonalDomain:
     # -- boundary parametrization ------------------------------------------
 
     def facet_point(self, fid, lam):
-        a = self.vertices[self.facets[fid].start]
-        b = self.vertices[self.facets[fid].end]
+        """Point at parameter(s) ``lam`` of facet ``fid``, or of the facets
+        of an id array aligned with ``lam``."""
+        start, end = self.facet_vertices[fid].T
+        a, b = self.vertices[start], self.vertices[end]
         lam = np.asarray(lam, dtype=float)
         return a + lam[..., None] * (b - a)
 
@@ -229,37 +233,38 @@ class TransversalField:
         self.kappa = kappa
         self.mode = mode
 
-    def _endpoints(self, fid):
-        f = self.domain.facets[fid]
-        ka = self.vertex_vectors[f.start]
-        kb = self.vertex_vectors[f.end]
-        if np.any(np.isnan(ka)) or np.any(np.isnan(kb)):
-            raise ModeInvalid(f"field undefined on facet {fid}")
-        return ka, kb
+    def _interpolant(self, fid, lam):
+        """Unit vectors at the facet ends and their linear interpolant
+        g(lam); ``fid`` is one facet or an id array aligned with ``lam``."""
+        start, end = self.domain.facet_vertices[fid].T
+        ka, kb = self.vertex_vectors[start], self.vertex_vectors[end]
+        bad = np.isnan(ka + kb).any(axis=-1)
+        if np.any(bad):
+            raise ModeInvalid(
+                f"field undefined on facet {np.extract(bad, fid)[0]}")
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        return ka, kb, ka + lam[:, None] * (kb - ka)
 
     def k_at(self, fid, lam):
         """Unit vector at local parameter(s) ``lam`` of facet ``fid``."""
-        ka, kb = self._endpoints(fid)
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        g = ka + lam[:, None] * (kb - ka)
+        _, _, g = self._interpolant(fid, lam)
         norm = np.hypot(g[:, 0], g[:, 1])
         return g / norm[:, None]
 
     def k_prime_at(self, fid, lam):
         """Exact arc-length derivative of the renormalized interpolant."""
-        ka, kb = self._endpoints(fid)
-        L = self.domain.lengths[fid]
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        g = ka + lam[:, None] * (kb - ka)
-        gp = (kb - ka) / L
+        ka, kb, g = self._interpolant(fid, lam)
+        gp = (kb - ka) / self.domain.lengths[fid, None]
         norm = np.hypot(g[:, 0], g[:, 1])
-        gdotgp = g[:, 0] * gp[0] + g[:, 1] * gp[1]
-        return gp[None, :] / norm[:, None] - g * (gdotgp / norm**3)[:, None]
+        gdotgp = g[:, 0] * gp[..., 0] + g[:, 1] * gp[..., 1]
+        return gp / norm[:, None] - g * (gdotgp / norm**3)[:, None]
 
     def k_dot_n(self, fid, lam):
+        """k.n at parameter(s) ``lam``, elementwise so that it does not
+        depend on how many points are evaluated at once."""
         k = self.k_at(fid, lam)
         n = self.domain.normals[fid]
-        return k @ n
+        return k[:, 0] * n[..., 0] + k[:, 1] * n[..., 1]
 
     def eval_k(self, s):
         fid, lam = self.domain.locate(s)
@@ -358,10 +363,8 @@ class InsulationDistribution:
                 raise InvalidDomain("thickness must be non-negative")
             if self.d_min > 0 and np.any(vals < self.d_min):
                 raise InvalidDomain("thickness below the declared floor d_min")
-        # k.n at the nodes, one node at a time (one row of ``k @ n`` takes
-        # another BLAS kernel than many rows)
         self.component_kn = [
-            np.array([self._kn_at(comp, c) for c in coords])
+            field.k_dot_n(*_component_locate(self.domain, comp, coords))
             for comp, coords in zip(comps, self.component_coords)]
         self.mass = self._lumped_mass()
 
@@ -407,7 +410,8 @@ class InsulationDistribution:
         v = self.component_values[comp_idx]
         coord = np.atleast_1d(np.asarray(coord, dtype=float))
         if comp.cyclic:
-            coord = coord % comp.length
+            # periodic: the wrap segment runs from the last node to c[0] + L
+            coord = c[0] + (coord - c[0]) % comp.length
             c_aug = np.concatenate([c, [c[0] + comp.length]])
             v_aug = np.concatenate([v, [v[0]]])
             return np.interp(coord, c_aug, v_aug)
@@ -425,23 +429,20 @@ class InsulationDistribution:
                                   * self.component_values[ci]))
         return total
 
-    def _kn_at(self, comp, coord):
-        fid, lam = _component_locate(self.domain, comp, coord)
-        return float(self.field.k_dot_n(fid, lam)[0])
 
-
-def _component_locate(domain, comp, coord):
-    """Component-relative coordinate -> (facet, local parameter)."""
+def _component_locate(domain, comp, coords):
+    """Component-relative coordinates -> (facet ids, local parameters)."""
+    coords = np.asarray(coords, dtype=float)
     if comp.cyclic:
-        coord = coord % comp.length
-    coord = min(max(coord, 0.0), comp.length)
-    off = 0.0
-    for fid in comp.facets:
-        L = domain.lengths[fid]
-        if coord <= off + L or fid == comp.facets[-1]:
-            return fid, min(max((coord - off) / L, 0.0), 1.0)
-        off += L
-    raise AssertionError("unreachable")
+        coords = coords % comp.length
+    coords = np.clip(coords, 0.0, comp.length)
+    facets = np.array(comp.facets)
+    offsets = np.array([comp.facet_offsets[f] for f in comp.facets])
+    lengths = domain.lengths[facets]
+    # the first facet whose end is not before the coordinate
+    at = np.minimum(np.searchsorted(offsets + lengths, coords),
+                    len(facets) - 1)
+    return facets[at], np.clip((coords - offsets[at]) / lengths[at], 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -283,11 +283,7 @@ def insulated_chain(mesh, field=None):
         return chain
     facets = np.concatenate([cc.node_facet for cc in chain.components])
     lams = np.concatenate([cc.node_lam for cc in chain.components])
-    kn = np.empty(len(facets))
-    for fid in np.unique(facets):
-        on = facets == fid
-        kn[on] = field.k_dot_n(fid, lams[on])
-    return replace(chain, kn=kn)
+    return replace(chain, kn=field.k_dot_n(facets, lams))
 
 
 def _build_chain(mesh):
@@ -343,9 +339,9 @@ def extrude_layer(bulk, field, dist, eps, n_t):
 
     Each insulated boundary node spawns a fiber of ``n_t`` segments along
     eps*d(s)*k(s); quads between adjacent fibers are split along the diagonal
-    from the lower-s, lower-t corner.  Facets with identically zero thickness
-    are skipped and their edges become part of the zero-trace set; isolated
-    zero-thickness nodes are rejected.
+    from the lower-s, lower-t corner.  Insulated components with identically
+    zero thickness are skipped and their edges become part of the zero-trace
+    set; a component whose thickness vanishes only somewhere is rejected.
     """
     if bulk.extrusion is not None:
         raise MeshFailure("mesh already carries a layer")
@@ -362,26 +358,17 @@ def extrude_layer(bulk, field, dist, eps, n_t):
     fiber_nodes, points, offsets, tris, top, side = [], [], [], [], [], []
     for ci, cc in enumerate(chain.components):
         d = dist.value_at(ci, cc.coords)
-        # a node is extruded when one of its facets has non-zero thickness
-        active = np.zeros(len(cc.nodes), dtype=bool)
-        for fid, idx in _facet_node_indices(
-                cc, domain.insulated_components[ci]).items():
-            if np.all(d[idx] == 0.0):
-                skipped_facets.append(fid)
-            else:
-                active[idx] = True
-        bad = cc.nodes[(d == 0.0) & active]
-        if len(bad):
-            raise DegenerateFiber(
-                f"zero thickness at insulated boundary node {bad[0]} "
-                "on a facet with non-zero thickness")
-        if not active.any():
+        # adjacent facets share their corner node, so a zero thickness
+        # skips the whole component or is a degenerate fiber
+        zero = d == 0.0
+        if zero.all():
+            skipped_facets.extend(domain.insulated_components[ci].facets)
             fiber_nodes.append(np.zeros((0, n_t + 1), dtype=int))
             continue
-        if not active.all():
-            raise MeshFailure(
-                "insulated component is only partly extruded; the zero-node "
-                "check should leave it all-active or all-skipped")
+        if zero.any():
+            raise DegenerateFiber(
+                f"zero thickness at insulated boundary node "
+                f"{cc.nodes[zero][0]} of a component with non-zero thickness")
         n = len(cc.nodes)
         fibers = np.empty((n, n_t + 1), dtype=int)
         fibers[:, 0] = cc.nodes
@@ -389,10 +376,7 @@ def extrude_layer(bulk, field, dist, eps, n_t):
         next_id += n * n_t
         fiber_nodes.append(fibers)
 
-        k = np.empty((n, 2))
-        for fid in np.unique(cc.node_facet):
-            on = cc.node_facet == fid
-            k[on] = field.k_at(fid, cc.node_lam[on])
+        k = field.k_at(cc.node_facet, cc.node_lam)
         t = (eps * d)[:, None] * levels / n_t
         points.append((bulk.nodes[cc.nodes][:, None, :]
                        + t[:, :, None] * k[:, None, :]).reshape(-1, 2))
@@ -455,23 +439,3 @@ def extrude_layer(bulk, field, dist, eps, n_t):
 def _rows(blocks, width):
     """Row-wise concatenation of (., width) blocks; (0, width) when none."""
     return np.concatenate([np.zeros((0, width), dtype=int), *blocks])
-
-
-def _facet_node_indices(cc, comp):
-    """Chain node indices bounding each facet of a component.
-
-    Corner nodes are recorded on their incoming facet (local parameter 1),
-    so the start corner of a facet is the chain node just before its first
-    recorded node.
-    """
-    out = {}
-    for fid in comp.facets:
-        idx = list(np.where(cc.node_facet == fid)[0])
-        if idx and cc.node_lam[idx[0]] > 1e-15:
-            prev = idx[0] - 1
-            if cc.cyclic:
-                prev %= len(cc.nodes)
-            if prev >= 0:
-                idx = [prev] + idx
-        out[fid] = idx
-    return out

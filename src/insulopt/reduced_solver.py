@@ -24,11 +24,11 @@ from .fem import (
     dirichlet_nodes,
     eval_I,
     lumped_boundary_diagonal,
-    solve_spd,
+    solve_constrained,
+    solve_spd,  # noqa: F401  bound here for perfbench's tracer self-test
     stiffness,
 )
 from .meshing import insulated_chain
-from .multigrid import preconditioner
 
 POWER_ITERATIONS = 50
 
@@ -220,37 +220,31 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
     or |v_j| so small that the weight overflows) become zero constraints,
     the d_j = 0 limit of the Robin penalization.
     """
-    chain, b, fixed_base = _setup(mesh, m, data)
+    chain, b, _ = _setup(mesh, m, data)
     K = stiffness(mesh)
 
     gi_len = float(np.sum(chain.weights))
     weight = np.full(len(chain.nodes), gi_len / m)  # uniform thickness start
-    zero_nodes: list[int] = []
+    zero_nodes = chain.nodes[:0]
     I_old = None
     for it in range(1, max_iter + 1):
         # the weight is zero at the zero-constrained nodes
         M = lumped_boundary_diagonal(mesh, chain, weight)
-        fixed = dict(fixed_base)
-        for nd in zero_nodes:
-            fixed.setdefault(int(nd), 0.0)
-        sys = apply_dirichlet(K + M, b, fixed)
-        x = solve_spd(sys.matrix, sys.rhs, tol=tol,
-                      precond=preconditioner(mesh, sys.matrix, sys.free))
-        u = sys.expand(x)
-        rep = eval_I(mesh, u, m, data, chain=chain)
-        I_new = rep.total
+        u = solve_constrained(mesh, K + M, b,
+                              dirichlet_nodes(mesh, data, zero_nodes), tol=tol)
+        s = boundary_l1(chain, u)
+        I_new = 0.5 * float(u @ (K @ u)) + s * s / (2.0 * m) - float(b @ u)
         if I_old is not None and abs(I_new - I_old) <= tol * (abs(I_new) + 1e-30):
             return u, _report(mesh, chain, u, m, data, iterations=it,
                               residual=abs(I_new - I_old), method="alternating")
         I_old = I_new
-        s = boundary_l1(chain, u)
         if s == 0.0:
             raise ZeroTrace(
                 "insulated trace vanished; optimal thickness is undefined")
         with np.errstate(divide="ignore", over="ignore"):
             weight = s / (m * np.abs(u[chain.nodes]))
         zero_mask = ~np.isfinite(weight)
-        zero_nodes = [int(nd) for nd in chain.nodes[zero_mask]]
+        zero_nodes = chain.nodes[zero_mask]
         weight[zero_mask] = 0.0
     raise NoConvergence(f"alternating minimization stalled after {max_iter} passes")
 

@@ -28,6 +28,7 @@ from insulopt.geometry import (
 from insulopt.meshing import (
     BULK,
     LAYER,
+    LAYER_TOP,
     TriMesh,
     extrude_layer,
     insulated_chain,
@@ -36,7 +37,7 @@ from insulopt.meshing import (
 from insulopt.reduced_solver import solve_reduced
 from insulopt.robin_solver import solve_limit
 
-from conftest import LSHAPE, NOTCHED, pseudo1d_domain, pseudo1d_setup
+from conftest import LSHAPE, NOTCHED, SQUARE, pseudo1d_domain, pseudo1d_setup
 
 
 def unit_right_triangle_mesh():
@@ -153,6 +154,39 @@ def test_dirichlet_elimination_zero_value_keeps_rhs():
     sys = apply_dirichlet(K, b, {0: 0.0})
     assert np.allclose(sys.rhs, b[sys.free], atol=0)
     assert list(sys.free) == [1, 2]
+
+
+def test_dirichlet_elimination_without_fixed_nodes_keeps_the_system():
+    mesh = unit_right_triangle_mesh()
+    K = assemble_stiffness(mesh, 1.0)
+    b = np.array([1.0, 2.0, 3.0])
+    sys = apply_dirichlet(K, b, {})
+    assert sys.matrix is K and sys.rhs is b
+    assert list(sys.free) == [0, 1, 2] and len(sys.fixed) == 0
+    assert np.array_equal(sys.expand(b), b)
+
+
+def test_dirichlet_value_beats_a_zero():
+    # the zero-thickness bottom facet becomes part of the outer layer
+    # boundary and shares the corner (1, 0) with the Dirichlet facet
+    domain = PolygonalDomain(SQUARE, ["insulated", "dirichlet", "neumann",
+                                      "neumann"])
+    field = build_transversal_field(domain, "facet_normal")
+    mesh = triangulate_bulk(domain, 0.25)
+    glued = extrude_layer(mesh, field, InsulationDistribution.constant(
+        field, 0.0), eps=0.1, n_t=2)
+    data = ProblemData(u_D=0.7)
+    dirichlet = dirichlet_nodes(mesh, data)
+    assert set(dirichlet.values()) == {0.7}
+    top = np.unique(glued.marker_edges(LAYER_TOP)).tolist()
+    corner = int(np.flatnonzero(np.all(mesh.nodes == (1.0, 0.0), axis=1))[0])
+    assert corner in dirichlet and corner in top
+    interior = int(np.flatnonzero(np.all(mesh.nodes == (0.5, 0.5), axis=1))[0])
+    fixed = dirichlet_nodes(glued, data, zero_nodes=np.array([corner, interior]))
+    assert fixed == {**dict.fromkeys(top, 0.0), interior: 0.0, **dirichlet}
+    assert fixed[corner] == 0.7
+    assert dirichlet_nodes(glued, data, zero_nodes=[]) == {
+        **dict.fromkeys(top, 0.0), **dirichlet}
 
 
 def test_solve_identity():

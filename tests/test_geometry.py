@@ -17,7 +17,7 @@ from insulopt.geometry import (
     transversal_mass,
 )
 
-from conftest import SQUARE, pseudo1d_domain
+from conftest import NOTCHED, SQUARE, pseudo1d_domain
 
 
 def star_polygon(radii):
@@ -209,3 +209,60 @@ def test_distribution_floor_enforced(square_bisector):
 def test_distribution_negative_rejected(square_bisector):
     with pytest.raises(InvalidDomain):
         InsulationDistribution.constant(square_bisector, -1.0)
+
+
+def test_cyclic_profile_wraps_below_the_first_node(square_bisector):
+    dist = InsulationDistribution.from_arc_samples(
+        square_bisector, [0.5, 1.5, 2.5, 3.5], [1.0, 2.0, 3.0, 4.0])
+    # the wrap segment runs from arc 3.5 (value 4) to arc 4.5 (value 1),
+    # the segment _lumped_weights gives the first and last node
+    assert np.array_equal(dist.value_at(0, [0.0, 0.25, 3.75, 0.5, 1.0]),
+                          [2.5, 1.75, 3.25, 1.0, 1.5])
+    s = np.linspace(-4.0, 8.0, 97)
+    assert np.allclose(dist.value_at(0, s), dist.value_at(0, s + 4.0),
+                       rtol=0.0, atol=1e-14)
+
+
+def test_field_evaluates_facet_arrays_like_single_facets():
+    domain = PolygonalDomain(NOTCHED, ["insulated"] * 6)
+    field = build_transversal_field(domain, "bisector")
+    rng = np.random.default_rng(0)
+    fid = rng.integers(0, 6, 40)
+    lam = np.concatenate([[0.0, 1.0], rng.random(38)])
+    for evaluate in (field.k_at, field.k_prime_at, field.k_dot_n,
+                     domain.facet_point):
+        single = [np.reshape(evaluate(f, l), -1) for f, l in zip(fid, lam)]
+        assert np.array_equal(np.reshape(evaluate(fid, lam), (40, -1)),
+                              single)
+
+
+def locate_one(domain, comp, coord):
+    """Facet and local parameter of one component coordinate, by a walk
+    over the facets."""
+    if comp.cyclic:
+        coord = coord % comp.length
+    coord = min(max(coord, 0.0), comp.length)
+    off = 0.0
+    for fid in comp.facets:
+        L = domain.lengths[fid]
+        if coord <= off + L or fid == comp.facets[-1]:
+            return fid, min(max((coord - off) / L, 0.0), 1.0)
+        off += L
+
+
+@pytest.mark.parametrize("labels", [["insulated"] * 6,
+                                    ["insulated", "insulated", "dirichlet",
+                                     "insulated", "insulated", "neumann"]])
+def test_component_locate_matches_facet_walk(labels):
+    from insulopt.geometry import _component_locate
+
+    domain = PolygonalDomain(NOTCHED, labels)
+    rng = np.random.default_rng(1)
+    for comp in domain.insulated_components:
+        ends = [comp.facet_offsets[f] + domain.lengths[f] for f in comp.facets]
+        coords = np.concatenate([[-1.0, 0.0, comp.length, comp.length + 1.0],
+                                 ends, rng.uniform(-1.0, comp.length + 1.0, 50)])
+        fid, lam = _component_locate(domain, comp, coords)
+        expected = [locate_one(domain, comp, c) for c in coords]
+        assert fid.tolist() == [f for f, _ in expected]
+        assert np.array_equal(lam, [l for _, l in expected])

@@ -232,9 +232,8 @@ def test_chain_is_built_once_per_mesh(lshape_all_insulated, monkeypatch):
     assert np.all(np.isnan(plain.kn))
     with pytest.raises(ValueError):
         plain.weights[0] = 0.0  # the shared chain is read-only
-    # k.n per facet equals k.n node by node: bit for bit on axis-aligned
-    # facets, where k.n is a component of k; elsewhere to rounding, because
-    # one row and many rows take different BLAS kernels in ``k @ n``
+    # k.n of the whole chain equals k.n node by node, bit for bit: it is
+    # evaluated elementwise, not by a BLAS kernel that depends on the count
     per_node = [float(field.k_dot_n(f, lam)[0]) for cc in with_kn.components
                 for f, lam in zip(cc.node_facet, cc.node_lam)]
     assert np.array_equal(with_kn.kn, per_node)
@@ -243,7 +242,7 @@ def test_chain_is_built_once_per_mesh(lshape_all_insulated, monkeypatch):
     chain = insulated_chain(triangulate_bulk(notched, 0.5), oblique)
     per_node = [float(oblique.k_dot_n(f, lam)[0]) for cc in chain.components
                 for f, lam in zip(cc.node_facet, cc.node_lam)]
-    assert np.allclose(chain.kn, per_node, rtol=4.5e-16, atol=0.0)
+    assert np.array_equal(chain.kn, per_node)
     # a sweep builds each mesh's chain at most once
     built.clear()
     dist = InsulationDistribution.constant(field, 1.0)
@@ -383,6 +382,19 @@ def test_zero_node_raises_degenerate_fiber():
     dist = InsulationDistribution(field, [coords], [np.array([1.0, 0.0, 1.0])])
     with pytest.raises(DegenerateFiber):
         extrude_layer(mesh, field, dist, eps=0.1, n_t=2)
+
+
+def test_zero_facet_next_to_nonzero_facets_raises_degenerate_fiber(
+        lshape_all_insulated):
+    field = build_transversal_field(lshape_all_insulated, "bisector")
+    mesh = triangulate_bulk(lshape_all_insulated, 1 / 8)
+    comp = lshape_all_insulated.insulated_components[0]
+    # nodes at the facet starts: zero at both ends of facet 2 only
+    coords = np.array([comp.facet_offsets[f] for f in comp.facets])
+    values = np.where(np.isin(comp.facets, [2, 3]), 0.0, 1.0)
+    dist = InsulationDistribution(field, [coords], [values])
+    with pytest.raises(DegenerateFiber):
+        extrude_layer(mesh, field, dist, eps=0.05, n_t=2)
 
 
 def test_whole_facet_zero_skipped_becomes_zero_trace():

@@ -14,9 +14,9 @@ from insulopt.fem import (
     ProblemData,
     apply_dirichlet,
     assemble_load,
+    dirichlet_nodes,
     solve_spd,
     stiffness,
-    zero_trace_nodes,
 )
 from insulopt.geometry import (
     InsulationDistribution,
@@ -126,9 +126,9 @@ def random_system(h, glued, frac, rng):
     if glued:
         mesh = extrude_layer(mesh, field, dist, h, n_t=3)
         A = stiffness(mesh, BULK) + h * stiffness(mesh, LAYER)
-        fixed = {nd: 0.0 for nd in zero_trace_nodes(mesh)}
     else:
-        A, fixed = robin_operator(mesh, field, dist)[0], {}
+        A = robin_operator(mesh, field, dist)[0]
+    fixed = dirichlet_nodes(mesh, ProblemData())
     b = assemble_load(mesh, rng.uniform(-1.0, 2.0, mesh.n_bulk_tris))
     for nd in np.flatnonzero(rng.random(len(mesh.nodes)) < frac):
         fixed.setdefault(int(nd), float(rng.uniform(-1.0, 1.0)))

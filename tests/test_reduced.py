@@ -173,21 +173,35 @@ def test_alternating_overflowing_weight_becomes_zero_constraint(
 
 @pytest.mark.parametrize("method", ["alternating", "proxgrad"])
 def test_reduced_setup_is_built_once(method, monkeypatch):
-    from insulopt import reduced_solver
+    from insulopt import fem, reduced_solver
 
-    counts = {"assemble_load": 0, "apply_dirichlet": 0}
-    for name in counts:
-        original = getattr(reduced_solver, name)
+    counts = {}  # (module, name) -> calls
+    for name in ("assemble_load", "apply_dirichlet"):
+        original = getattr(fem, name)
+        for module in (fem, reduced_solver):
+            if getattr(module, name, None) is not original:
+                continue
+            key = (module.__name__.rsplit(".", 1)[1], name)
+            counts[key] = 0
 
-        def spy(*args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(*args)
+            def spy(*args, _key=key, _original=original):
+                counts[_key] += 1
+                return _original(*args)
 
-        monkeypatch.setattr(reduced_solver, name, spy)
+            monkeypatch.setattr(module, name, spy)
     domain, field, mesh, data = pseudo1d_setup(h=1 / 8)
     _, rep = solve_reduced(mesh, 1.0, data, method=method)
     # one load vector per solve; one Dirichlet elimination per alternating
-    # pass, and one in all for proximal gradients
-    assert counts["assemble_load"] == 1
+    # pass (inside fem.solve_constrained), and one in all for proximal
+    # gradients
+    assert counts["reduced_solver", "assemble_load"] == 1
     passes = rep.diagnostics["iterations"] if method == "alternating" else 1
-    assert counts["apply_dirichlet"] == passes
+    assert (counts["fem", "apply_dirichlet"]
+            + counts["reduced_solver", "apply_dirichlet"]) == passes
+    if method == "alternating":
+        # the stopping value reuses the load vector: the only other load
+        # vector is the final report's
+        assert passes >= 2
+        assert counts["fem", "apply_dirichlet"] == passes
+        assert (counts["fem", "assemble_load"]
+                + counts["reduced_solver", "assemble_load"]) == 2

@@ -200,3 +200,31 @@ def test_two_component_insulation_solves():
     assert rep_eps.diagnostics["poincare_max_ratio"] <= 1.05
     # energies of the two formulations are close at this layer scale
     assert rep_eps.total == pytest.approx(rep.total, rel=0.1)
+
+
+def test_every_solve_takes_the_constrained_path_once(monkeypatch):
+    from insulopt import fem, layer_solver, reduced_solver, robin_solver
+    from insulopt.reduced_solver import solve_reduced
+
+    calls = []
+
+    def spy(mesh, *args, **kwargs):
+        calls.append(mesh)
+        return fem.solve_constrained(mesh, *args, **kwargs)
+
+    for module in (robin_solver, layer_solver, reduced_solver):
+        monkeypatch.setattr(module, "solve_constrained", spy)
+    domain, field, mesh, data = pseudo1d_setup(h=1 / 8)
+    dist = InsulationDistribution.constant(field, 1.0)
+    for quadrature in ("consistent", "lumped"):
+        calls.clear()
+        solve_limit(mesh, field, dist, data, robin_quadrature=quadrature)
+        assert calls == [mesh]
+    glued = extrude_layer(mesh, field, dist, eps=0.1, n_t=2)
+    calls.clear()
+    solve_eps(glued, 0.1, data)
+    assert calls == [glued]
+    calls.clear()
+    _, rep = solve_reduced(mesh, 1.0, data, method="alternating")
+    assert rep.diagnostics["iterations"] >= 2
+    assert calls == [mesh] * rep.diagnostics["iterations"]
