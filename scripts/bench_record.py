@@ -67,7 +67,6 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--seconds", type=float, default=None,
                     help="per run; default run_seconds of BENCHMARK.json")
-    ap.add_argument("--workloads", nargs="+", default=None)
     ap.add_argument("--out", type=Path, default=None,
                     help="default BENCH_<tag>.json in this checkout")
     args = ap.parse_args(argv)
@@ -75,9 +74,8 @@ def main(argv=None):
     checkout = args.checkout.resolve()
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = args.seconds or spec["run_seconds"]
-    names = args.workloads or [w["name"] for w in spec["workloads"]]
     workloads = {}
-    for name in names:
+    for name in (w["name"] for w in spec["workloads"]):
         runs = []
         for seed in args.seeds:
             run = run_once(checkout, name, seed, seconds)
