@@ -5,11 +5,12 @@
     python3 scripts/bench_record.py --tag base --checkout ../other-tree
 
 Runs ``perfbench/run.py --trace 0`` of the checkout (this one by default)
-once per workload and seed, one run at a time, and writes a JSON file with
-the checkout's git revision, the environment, every run's detail and
-result lines, and per workload the median over seeds of each end-to-end
-metric and the failure tally.  The workloads, metrics and run length come
-from the checkout's ``BENCHMARK.json``.
+once per workload and seed (``SEEDS``), one run at a time, and writes
+``BENCH_<tag>.json`` in this tree: the checkout's git revision, the
+environment, every run's detail and result lines, and per workload the
+median over seeds of each end-to-end metric and the failure tally.  The
+workloads, metrics and run length come from the checkout's
+``BENCHMARK.json``.
 """
 import argparse
 import datetime
@@ -22,6 +23,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
 
 
 def git_revision(checkout):
@@ -64,20 +66,15 @@ def main(argv=None):
     ap.add_argument("--tag", required=True)
     ap.add_argument("--checkout", type=Path, default=ROOT,
                     help="tree whose perfbench/run.py is run")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="per run; default run_seconds of BENCHMARK.json")
-    ap.add_argument("--out", type=Path, default=None,
-                    help="default BENCH_<tag>.json in this checkout")
     args = ap.parse_args(argv)
 
     checkout = args.checkout.resolve()
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = {}
     for name in (w["name"] for w in spec["workloads"]):
         runs = []
-        for seed in args.seeds:
+        for seed in SEEDS:
             run = run_once(checkout, name, seed, seconds)
             print(f"{name} seed {seed}: " + ", ".join(
                 f"{k}={v['value']:.4g}"
@@ -95,10 +92,10 @@ def main(argv=None):
                         "nproc": os.cpu_count(),
                         "python": platform.python_version()},
         "command": f"perfbench/run.py --trace 0 --seconds {seconds:g}",
-        "seeds": args.seeds,
+        "seeds": list(SEEDS),
         "workloads": workloads,
     }
-    out = args.out or ROOT / f"BENCH_{args.tag}.json"
+    out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0

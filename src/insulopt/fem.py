@@ -239,18 +239,27 @@ def lumped_boundary_diagonal(mesh, chain, nodal_weight):
     return sp.diags(diag).tocsr()
 
 
+def split_dirichlet(n, fixed_values):
+    """Split ``n`` nodes by the node -> value map ``fixed_values``: the
+    free nodes, the sorted fixed nodes, and the lift, the field holding the
+    values at the fixed nodes and zero elsewhere."""
+    fixed = np.array(sorted(fixed_values), dtype=int)
+    lift = np.zeros(n)
+    lift[fixed] = [fixed_values[i] for i in fixed]
+    mask = np.ones(n, bool)
+    mask[fixed] = False
+    return np.flatnonzero(mask), fixed, lift
+
+
 def apply_dirichlet(A, b, fixed_values):
     """Symmetric elimination; ``fixed_values`` maps node -> value.  With
     nothing fixed the system is ``A`` and ``b`` themselves."""
     n = A.shape[0]
-    fixed = np.array(sorted(fixed_values), dtype=int)
-    vals = np.array([fixed_values[i] for i in fixed])
+    free, fixed, lift = split_dirichlet(n, fixed_values)
+    vals = lift[fixed]
     if not len(fixed):
-        return ReducedSystem(matrix=A, rhs=b, free=np.arange(n), fixed=fixed,
+        return ReducedSystem(matrix=A, rhs=b, free=free, fixed=fixed,
                              fixed_values=vals, n=n)
-    mask = np.ones(n, bool)
-    mask[fixed] = False
-    free = np.where(mask)[0]
     A_f = A[free]
     return ReducedSystem(matrix=A_f[:, free].tocsr(),
                          rhs=b[free] - A_f[:, fixed] @ vals, free=free,

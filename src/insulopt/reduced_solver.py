@@ -26,6 +26,7 @@ from .fem import (
     lumped_boundary_diagonal,
     solve_constrained,
     solve_spd,  # noqa: F401  bound here for perfbench's tracer self-test
+    split_dirichlet,
     stiffness,
 )
 from .meshing import insulated_chain
@@ -153,9 +154,7 @@ def _certified_residual(K, b, fixed, chain, m, u):
     """``_subgradient_residual`` / |b_F| of the full field ``u``, read from
     K u - b on the nodes F outside the Dirichlet map ``fixed`` without
     forming the eliminated system."""
-    lift = np.zeros(len(u))
-    lift[list(fixed)] = list(fixed.values())
-    free = np.flatnonzero(~np.isin(np.arange(len(u)), list(fixed)))
+    free, _, lift = split_dirichlet(len(u), fixed)
     ws = _prox_workspace(chain, free, lift, m)
     res = _subgradient_residual((K @ u - b)[free], ws, u[free])
     bnorm = float(np.linalg.norm((b - K @ lift)[free]))
