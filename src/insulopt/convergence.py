@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConvergenceCheckFailure, MeshMismatch
-from .fem import eval_E_eps
+from .fem import assemble_load, eval_E_eps
 from .geometry import (
     _GAUSS_W,
     _arc_gauss_nodes,
@@ -119,9 +119,10 @@ def gamma_sweep(domain, field, dist, data, eps_list, h, n_t, tol=1e-10,
     fields = []
     for eps in eps_list:
         glued = extrude_layer(bulk, field, dist, eps, n_t)
-        u_eps, rep_eps = solve_eps(glued, eps, data, tol=tol)
+        load = assemble_load(glued, data.f)  # one per mesh: solve and energies
+        u_eps, rep_eps = solve_eps(glued, eps, data, tol=tol, load=load)
         v_rec = recovery_sequence(u_lim, glued)
-        rep_rec = eval_E_eps(glued, v_rec, eps, data)
+        rep_rec = eval_E_eps(glued, v_rec, eps, data, load=load)
         e_sol, e_rec = rep_eps.total, rep_rec.total
         if keep_fields:
             fields.append((eps, glued, u_eps))

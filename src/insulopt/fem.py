@@ -18,6 +18,16 @@ fixed nodes, owns the preconditioner choice and runs ``solve_spd``
 (``multigrid.preconditioner``) on meshes that carry their red-refinement
 hierarchy, which keeps the iteration count flat in h, and the Jacobi
 diagonal on other meshes.
+
+A sequence of solves on one mesh can reuse work through two optional
+arguments of ``solve_constrained``.  ``start`` is a field on all nodes from
+which conjugate gradients start, for example the previous solution of a
+loop; its free entries are the initial iterate and the fixed map still
+decides the fixed ones.  ``workspace`` is a ``SolveWorkspace`` that the
+caller creates and drops: it keeps the multigrid transfers of the last free
+set, rebuilt only when the free set changes, and tallies the transfer
+builds and PCG iterations of the sequence.  Without either argument a solve
+starts from zero and builds its whole V-cycle, as a single solve does.
 """
 from __future__ import annotations
 
@@ -34,7 +44,7 @@ from .errors import (
 )
 from .geometry import FacetLabel
 from .meshing import BULK, LAYER, LAYER_TOP
-from .multigrid import preconditioner
+from .multigrid import preconditioner, transfers
 
 # 3-point Gauss on [0,1] (degree 5), used for weighted edge mass matrices
 _EDGE_GX = np.array([0.5 - np.sqrt(15) / 10, 0.5, 0.5 + np.sqrt(15) / 10])
@@ -266,26 +276,63 @@ def apply_dirichlet(A, b, fixed_values):
                          fixed=fixed, fixed_values=vals, n=n)
 
 
-def solve_constrained(mesh, A, b, fixed, tol=1e-10, max_iter=None):
+class SolveWorkspace:
+    """State shared by a sequence of ``solve_constrained`` calls on one
+    mesh, owned by the caller for the length of the sequence: the multigrid
+    transfers of the last free set, and the transfer builds and PCG
+    iterations made so far."""
+
+    def __init__(self):
+        self.free = None
+        self.levels = None
+        self.transfer_builds = 0
+        self.pcg_iterations = 0
+
+    def levels_for(self, mesh, free):
+        """``multigrid.transfers`` of the ``free`` nodes of ``mesh``, built
+        only when the free set differs from the last one."""
+        if self.free is None or not np.array_equal(self.free, free):
+            self.free, self.levels = free, transfers(mesh, free)
+            self.transfer_builds += 1
+        return self.levels
+
+    def count_iteration(self, _x):
+        self.pcg_iterations += 1
+
+
+def solve_constrained(mesh, A, b, fixed, tol=1e-10, max_iter=None,
+                      start=None, workspace=None):
     """Solve the SPD system ``A u = b`` on ``mesh`` with u fixed at the
     nodes of the node -> value map ``fixed``; returns u on all nodes.
 
     The one solve path of the package: the V-cycle of the mesh hierarchy
     preconditions the conjugate gradients when there is one, the Jacobi
-    diagonal otherwise.
+    diagonal otherwise.  PCG starts from the free entries of the field
+    ``start`` when given, from zero otherwise.  A ``SolveWorkspace``
+    supplies the multigrid transfers and counts the work.
     """
     sys = apply_dirichlet(A, b, fixed)
+    levels = callback = None
+    if workspace is not None:
+        callback = workspace.count_iteration
+        if mesh.hierarchy and len(sys.free):
+            levels = workspace.levels_for(mesh, sys.free)
     x = solve_spd(sys.matrix, sys.rhs, tol=tol, max_iter=max_iter,
-                  precond=preconditioner(mesh, sys.matrix, sys.free))
+                  precond=preconditioner(mesh, sys.matrix, sys.free, levels),
+                  x0=None if start is None else start[sys.free],
+                  callback=callback)
     return sys.expand(x)
 
 
-def solve_spd(A, b, tol=1e-10, max_iter=None, precond=None):
+def solve_spd(A, b, tol=1e-10, max_iter=None, precond=None, x0=None,
+              callback=None):
     """Preconditioned conjugate gradients for SPD systems.
 
     ``precond`` maps a residual r to an approximation of A^-1 r (for
     example a ``multigrid.VCycle``); without it the preconditioner is the
-    Jacobi diagonal.  Stops at ``tol`` relative residual.
+    Jacobi diagonal.  Starts from ``x0`` when given, from zero otherwise,
+    and calls ``callback(x)`` after each iteration.  Stops at ``tol``
+    relative residual |b - A x| <= tol |b|, at once when ``x0`` meets it.
     """
     n = len(b)
     if n == 0:
@@ -300,8 +347,14 @@ def solve_spd(A, b, tol=1e-10, max_iter=None, precond=None):
     if precond is None:
         def precond(r):
             return r / diag
-    x = np.zeros(n)
-    r = b.copy()
+    if x0 is None:
+        x = np.zeros(n)
+        r = b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - A @ x
+        if np.linalg.norm(r) <= tol * bnorm:
+            return x
     z = precond(r)
     p = z.copy()
     rz = float(r @ z)
@@ -313,6 +366,8 @@ def solve_spd(A, b, tol=1e-10, max_iter=None, precond=None):
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
+        if callback is not None:
+            callback(x)
         if np.linalg.norm(r) <= tol * bnorm:
             return x
         z = precond(r)
@@ -332,8 +387,10 @@ def boundary_l1(chain, u):
     return float(np.sum(chain.weights * np.abs(u[chain.nodes])))
 
 
-def _source_term(mesh, u, data):
-    return float(assemble_load(mesh, data.f) @ u)
+def _source_term(mesh, u, data, load=None):
+    if load is None:
+        load = assemble_load(mesh, data.f)
+    return float(load @ u)
 
 
 def _neumann_term(mesh, u, data):
@@ -348,13 +405,15 @@ def _dirichlet_violation(mesh, u, data):
     return worst
 
 
-def eval_E_limit(mesh, u, field, dist, data, interface="consistent"):
+def eval_E_limit(mesh, u, field, dist, data, interface="consistent",
+                 load=None):
     """Energy of the vanished-layer limit problem.
 
     total = 1/2 |grad u|^2 + 1/2 int_GI u^2 / ((k.n) d) - (f,u) - <g,u>.
     ``interface`` selects the consistent Gauss rule or the lumped nodal rule
     for the interface term (the latter matches the reduced functional's
-    algebra exactly).
+    algebra exactly).  ``load`` is ``assemble_load(mesh, data.f)`` when the
+    caller already has it.
     """
     from .meshing import insulated_chain
 
@@ -373,7 +432,7 @@ def eval_E_limit(mesh, u, field, dist, data, interface="consistent"):
                 chain.weights[nz] * uj[nz] ** 2 / (chain.kn[nz] * dvals[nz])))
     else:
         raise ValueError("interface must be 'consistent' or 'lumped'")
-    source = _source_term(mesh, u, data)
+    source = _source_term(mesh, u, data, load)
     neum = _neumann_term(mesh, u, data)
     total = grad + iface - source - neum
     return EnergyReport(
@@ -384,13 +443,14 @@ def eval_E_limit(mesh, u, field, dist, data, interface="consistent"):
     )
 
 
-def eval_E_eps(mesh, u, eps, data):
-    """Energy of the thin-layer problem on a glued mesh."""
+def eval_E_eps(mesh, u, eps, data, load=None):
+    """Energy of the thin-layer problem on a glued mesh; ``load`` as in
+    ``eval_E_limit``."""
     if mesh.extrusion is None:
         raise MeshMismatch("eval_E_eps needs an extruded mesh")
     grad_bulk = 0.5 * float(u @ (stiffness(mesh, BULK) @ u))
     grad_layer = 0.5 * eps * float(u @ (stiffness(mesh, LAYER) @ u))
-    source = _source_term(mesh, u, data)
+    source = _source_term(mesh, u, data, load)
     neum = _neumann_term(mesh, u, data)
     total = grad_bulk + grad_layer - source - neum
     zero_violation = 0.0

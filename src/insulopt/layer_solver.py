@@ -24,11 +24,12 @@ from .meshing import BULK, LAYER
 POINCARE_SLACK = 0.05
 
 
-def solve_eps(mesh, eps, data, tol=1e-10, max_iter=None):
+def solve_eps(mesh, eps, data, tol=1e-10, max_iter=None, load=None):
     """Solve the transmission problem; returns (u, EnergyReport).
 
     The report's diagnostics carry the equi-coercivity norms and the worst
-    fiber ratio of the point-wise Poincare inequality.
+    fiber ratio of the point-wise Poincare inequality.  ``load`` is
+    ``assemble_load(mesh, data.f)`` when the caller already has it.
     """
     if mesh.extrusion is None:
         raise MeshMismatch("solve_eps expects a glued mesh from extrude_layer")
@@ -37,11 +38,13 @@ def solve_eps(mesh, eps, data, tol=1e-10, max_iter=None):
             f"mesh extruded at eps={mesh.extrusion.eps}, solver called with {eps}")
     data.validate(mesh.domain)
     A = stiffness(mesh, BULK) + eps * stiffness(mesh, LAYER)
-    b = assemble_load(mesh, data.f) + assemble_neumann(mesh, data)
+    if load is None:
+        load = assemble_load(mesh, data.f)
+    b = load + assemble_neumann(mesh, data)
     u = solve_constrained(mesh, A, b, dirichlet_nodes(mesh, data), tol=tol,
                           max_iter=max_iter)
 
-    report = eval_E_eps(mesh, u, eps, data)
+    report = eval_E_eps(mesh, u, eps, data, load=load)
     report.diagnostics.update(equicoercivity_norms(mesh, u, eps))
     report.diagnostics["poincare_max_ratio"] = poincare_fiber_check(mesh, u)
     return u, report

@@ -15,8 +15,16 @@ from fine to coarse, each level has:
   correction, with omega = 4/(3 rho), rho = rho(D^-1 A) estimated by
   POWER_STEPS power iterations.
 
-Coarsening stops at COARSE_SIZE unknowns, which are solved densely.  Only
-numpy and scipy.sparse are used: importing scipy.linalg or
+Coarsening stops at COARSE_SIZE unknowns, which are solved densely.
+
+The build has two halves.  ``transfers`` depends only on the mesh and the
+free set: the restricted P and R = P^T of each level.  ``VCycle`` takes
+them and forms the operator half: the Galerkin products, the Jacobi weights
+and the coarse Cholesky factor.  A caller that solves a sequence of
+operators on one free set (``fem.SolveWorkspace``) builds the transfers once
+and passes them to ``preconditioner``; nothing is kept on the mesh.
+
+Only numpy and scipy.sparse are used: importing scipy.linalg or
 scipy.sparse.linalg costs several MB of resident memory.
 """
 from __future__ import annotations
@@ -69,36 +77,48 @@ def prolongation(free, n_coarse, rows, cols, weights):
     return sp.csr_matrix((v, (r, c)), shape=(int(at[-1]) + 1, n_free_coarse))
 
 
-def preconditioner(mesh, A, free=None):
+def transfers(mesh, free=None):
+    """Restricted prolongations and restrictions (P, R = P^T) of the levels
+    of ``mesh`` for the ``free`` nodes (all nodes when None), fine to
+    coarse, down to COARSE_SIZE free unknowns."""
+    if free is None:
+        mask = np.ones(len(mesh.nodes), dtype=bool)
+    else:
+        mask = np.zeros(len(mesh.nodes), dtype=bool)
+        mask[free] = True
+    levels = []
+    n_free = int(np.count_nonzero(mask))
+    for n_coarse, rows, cols, weights in stencils(mesh):
+        if n_free <= COARSE_SIZE:
+            break
+        P = prolongation(mask, n_coarse, rows, cols, weights)
+        levels.append((P, P.T.tocsr()))
+        mask = mask[:n_coarse]
+        n_free = P.shape[1]
+    return levels
+
+
+def preconditioner(mesh, A, free=None, levels=None):
     """V-cycle for ``A`` on the ``free`` nodes of ``mesh`` (all nodes when
-    None); None when the mesh has no hierarchy.
+    None); None when the mesh has no hierarchy.  ``levels`` are the
+    ``transfers`` of that free set when the caller already has them.
 
     Raises NoConvergence when a level shows that ``A`` is not positive
     definite.
     """
     if not mesh.hierarchy or A.shape[0] == 0:
         return None
-    if free is None:
-        mask = np.ones(len(mesh.nodes), dtype=bool)
-    else:
-        mask = np.zeros(len(mesh.nodes), dtype=bool)
-        mask[free] = True
-    return VCycle(A, mask, stencils(mesh))
+    return VCycle(A, transfers(mesh, free) if levels is None else levels)
 
 
 class VCycle:
     """Symmetric V-cycle: ``vcycle(r)`` approximates A^-1 r."""
 
-    def __init__(self, A, free, stencils):
+    def __init__(self, A, levels):
         self.levels = []  # (A, omega / diag(A), P, P^T), fine to coarse
-        for n_coarse, rows, cols, weights in stencils:
-            if A.shape[0] <= COARSE_SIZE:
-                break
-            P = prolongation(free, n_coarse, rows, cols, weights)
-            R = P.T.tocsr()
+        for P, R in levels:
             self.levels.append((A, _jacobi_weights(A), P, R))
             A = R @ (A @ P)
-            free = free[:n_coarse]
         try:
             L_inv = np.linalg.inv(np.linalg.cholesky(A.toarray()))
         except np.linalg.LinAlgError:
@@ -119,17 +139,29 @@ class VCycle:
         return x
 
 
+def rayleigh_power(apply, n, steps):
+    """Rayleigh quotient v.apply(v) of the last of ``steps`` power
+    iterations of the symmetric operator ``apply`` on R^n, started from a
+    fixed random unit vector; 0 when an iterate is mapped to zero."""
+    v = np.random.default_rng(0).standard_normal(n)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(steps):
+        w = apply(v)
+        lam = float(v @ w)
+        nw = np.linalg.norm(w)
+        if nw == 0:
+            return 0.0
+        v = w / nw
+    return lam
+
+
 def _jacobi_weights(A):
     """omega / diag(A), with omega = 4/(3 rho(D^-1 A))."""
     d = A.diagonal()
     if np.any(d <= 0):
         raise NoConvergence("matrix is not positive definite (diagonal)")
     s = 1.0 / np.sqrt(d)
-    # power iteration on the similar symmetric matrix D^-1/2 A D^-1/2
-    v = np.random.default_rng(0).standard_normal(len(d))
-    for _ in range(POWER_STEPS):
-        v /= np.linalg.norm(v)
-        w = s * (A @ (s * v))
-        rho = float(v @ w)
-        v = w
+    # rho(D^-1 A) is the largest eigenvalue of D^-1/2 A D^-1/2
+    rho = rayleigh_power(lambda v: s * (A @ (s * v)), len(d), POWER_STEPS)
     return (4.0 / (3.0 * rho)) / d

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import NoConvergence, NonUniqueWarning, ZeroTrace
 from .fem import (
+    SolveWorkspace,
     apply_dirichlet,
     assemble_load,
     assemble_neumann,
@@ -30,6 +31,7 @@ from .fem import (
     stiffness,
 )
 from .meshing import insulated_chain
+from .multigrid import rayleigh_power
 
 POWER_ITERATIONS = 50
 
@@ -94,18 +96,7 @@ def prox_squared_l1(z, w, alpha, offset=0.0):
 
 
 def estimate_spectral_norm(A, iterations=POWER_ITERATIONS):
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(A.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iterations):
-        w = A @ v
-        lam = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-    return lam
+    return rayleigh_power(lambda v: A @ v, A.shape[0], iterations)
 
 
 def _setup(mesh, m, data):
@@ -229,19 +220,27 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
     discrete coupled functional.  Nodes whose weight is not finite (v_j = 0,
     or |v_j| so small that the weight overflows) become zero constraints,
     the d_j = 0 limit of the Robin penalization.
+
+    Each pass starts conjugate gradients from the previous pass's field,
+    and one ``SolveWorkspace``, dropped on return, keeps the multigrid
+    transfers until a node is pinned.  The report's diagnostics carry the
+    PCG iterations of all passes and the transfer builds.
     """
     chain, b, fixed = _setup(mesh, m, data)
     K = stiffness(mesh)
+    workspace = SolveWorkspace()
 
     gi_len = float(np.sum(chain.weights))
     weight = np.full(len(chain.nodes), gi_len / m)  # uniform thickness start
     zero_nodes = chain.nodes[:0]
+    u = None
     I_old = None
     for it in range(1, max_iter + 1):
         # the weight is zero at the zero-constrained nodes
         M = lumped_boundary_diagonal(mesh, chain, weight)
         u = solve_constrained(mesh, K + M, b,
-                              dirichlet_nodes(mesh, data, zero_nodes), tol=tol)
+                              dirichlet_nodes(mesh, data, zero_nodes), tol=tol,
+                              start=u, workspace=workspace)
         s = boundary_l1(chain, u)
         I_new = 0.5 * float(u @ (K @ u)) + s * s / (2.0 * m) - float(b @ u)
         if I_old is not None and abs(I_new - I_old) <= tol * (abs(I_new) + 1e-30):
@@ -249,7 +248,9 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
                 mesh, chain, u, m, data, iterations=it,
                 residual=abs(I_new - I_old), method="alternating",
                 certified_residual=_certified_residual(K, b, fixed, chain, m,
-                                                       u))
+                                                       u),
+                pcg_iterations=workspace.pcg_iterations,
+                transfer_builds=workspace.transfer_builds)
         I_old = I_new
         if s == 0.0:
             raise ZeroTrace(

@@ -54,12 +54,13 @@ def solve_limit(mesh, field, dist, data, tol=1e-10, max_iter=None,
     if robin_quadrature == "consistent" and _min_thickness(mesh, dist) <= 0:
         raise NonpositiveWeight("thickness must be positive on the insulated part")
     A, zero_nodes = robin_operator(mesh, field, dist, robin_quadrature)
-    b = assemble_load(mesh, data.f) + assemble_neumann(mesh, data)
+    load = assemble_load(mesh, data.f)
+    b = load + assemble_neumann(mesh, data)
     u = solve_constrained(mesh, A, b, dirichlet_nodes(mesh, data, zero_nodes),
                           tol=tol, max_iter=max_iter)
     report = eval_E_limit(mesh, u, field, dist, data,
                           interface=("lumped" if robin_quadrature == "lumped"
-                                     else "consistent"))
+                                     else "consistent"), load=load)
     return u, report
 
 

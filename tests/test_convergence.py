@@ -68,6 +68,30 @@ def test_gamma_sweep_pseudo1d_gaps_vanish(c, scale):
         assert row.energy_solution <= row.energy_recovery + 1e-12
 
 
+def test_gamma_sweep_assembles_one_load_per_mesh(monkeypatch):
+    # the bulk's load serves the limit solve and its energy; each glued
+    # mesh's load serves solve_eps and both thin-layer energies
+    from insulopt import convergence, fem, layer_solver, robin_solver
+
+    calls = []
+    original = fem.assemble_load
+    for module in (fem, convergence, layer_solver, robin_solver):
+        if getattr(module, "assemble_load", None) is not original:
+            continue
+
+        def spy(mesh, f, _original=original):
+            calls.append(mesh)
+            return _original(mesh, f)
+
+        monkeypatch.setattr(module, "assemble_load", spy)
+    domain, field, mesh, data = pseudo1d_setup()
+    dist = InsulationDistribution.constant(field, 1.0)
+    gamma_sweep(domain, field, dist, data, [0.2, 0.1, 0.05, 0.025], h=1 / 8,
+                n_t=4)
+    assert len(calls) == 5
+    assert len({id(mesh) for mesh in calls}) == 5  # one call per mesh
+
+
 def test_gamma_sweep_rejects_nondecreasing_eps():
     domain, field, mesh, data = pseudo1d_setup(h=0.25)
     dist = InsulationDistribution.constant(field, 1.0)

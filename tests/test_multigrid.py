@@ -149,6 +149,42 @@ def test_multigrid_and_jacobi_agree(seed, frac, glued):
             <= 1e-8 * np.linalg.norm(x_jacobi))
 
 
+@pytest.mark.parametrize("glued", [False, True])
+def test_exact_start_needs_no_preconditioner(glued):
+    rng = np.random.default_rng(1)
+    mesh, sys = random_system(1 / 32, glued, 0.1, rng)
+    x = rng.standard_normal(len(sys.rhs))
+    mg = preconditioner(mesh, sys.matrix, sys.free)
+    applied = []
+
+    def counting(r):
+        applied.append(r)
+        return mg(r)
+
+    out = solve_spd(sys.matrix, sys.matrix @ x, precond=counting, x0=x)
+    assert applied == []
+    assert np.array_equal(out, x)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frac=st.floats(0.0, 0.3),
+       glued=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 10.0]))
+def test_random_start_reaches_the_zero_start_solution(seed, frac, glued,
+                                                      scale):
+    rng = np.random.default_rng(seed)
+    mesh, sys = random_system(1 / 32, glued, frac, rng)
+    A, b, tol = sys.matrix, sys.rhs, 1e-10
+    mg = preconditioner(mesh, A, sys.free)
+    x_zero = solve_spd(A, b, tol=tol, precond=mg)
+    # sized on the solution: far larger starts meet the rounding floor of
+    # the residual recurrence before tol
+    start = scale * np.abs(x_zero).max() * rng.standard_normal(len(b))
+    x = solve_spd(A, b, tol=tol, precond=mg, x0=start)
+    assert np.linalg.norm(b - A @ x) <= 2 * tol * np.linalg.norm(b)
+    assert (np.linalg.norm(x - x_zero)
+            <= 100 * tol * np.linalg.norm(x_zero))
+
+
 def shifted(sys, t):
     """The system matrix shifted between its two smallest eigenvalues: one
     negative eigenvalue, and still a positive diagonal."""

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -213,6 +214,68 @@ def test_reduced_setup_is_built_once(method, monkeypatch):
         assert counts["fem", "apply_dirichlet"] == passes
         assert (counts["fem", "assemble_load"]
                 + counts["reduced_solver", "assemble_load"]) == 2
+
+
+# -- warm-started alternating passes ------------------------------------------------
+
+def _lshape_draw(h, seed):
+    mesh = triangulate_bulk(PolygonalDomain(LSHAPE, ["insulated"] * 6), h)
+    f = np.random.default_rng(seed).uniform(0.5, 1.5, mesh.n_bulk_tris)
+    return mesh, ProblemData(f=f)
+
+
+@pytest.mark.filterwarnings("ignore::insulopt.errors.NonUniqueWarning")
+@pytest.mark.parametrize("h,m,seed,builds", [(1 / 64, 1.7, 3, 1),
+                                             (1 / 16, 0.5, 0, 2)],
+                         ids=["m1.7", "m0.5_pinned"])
+def test_warm_start_keeps_the_passes_and_the_energy(h, m, seed, builds,
+                                                    monkeypatch):
+    # at m = 0.5 nodes are pinned, so the free set changes between passes
+    from insulopt import reduced_solver
+
+    mesh, data = _lshape_draw(h, seed)
+    _, warm = solve_reduced(mesh, m, data, method="alternating")
+    original = reduced_solver.solve_constrained
+
+    def cold(*args, start=None, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reduced_solver, "solve_constrained", cold)
+    _, cold = solve_reduced(mesh, m, data, method="alternating")
+    w, c = warm.diagnostics, cold.diagnostics
+    assert w["iterations"] == c["iterations"]
+    assert abs(warm.total - cold.total) <= 1e-12 * abs(cold.total)
+    assert w["transfer_builds"] == c["transfer_builds"] == builds
+    assert w["pcg_iterations"] < 0.8 * c["pcg_iterations"]
+
+
+@pytest.mark.filterwarnings("ignore::insulopt.errors.NonUniqueWarning")
+def test_transfers_are_built_once_per_free_set(monkeypatch):
+    from insulopt import fem
+
+    free_sets, built = [], []
+    apply_dirichlet, transfers = fem.apply_dirichlet, fem.transfers
+
+    def spy_dirichlet(*args):
+        sys = apply_dirichlet(*args)
+        free_sets.append(tuple(sys.free))
+        return sys
+
+    def spy_transfers(mesh, free):
+        built.append(tuple(free))
+        return transfers(mesh, free)
+
+    monkeypatch.setattr(fem, "apply_dirichlet", spy_dirichlet)
+    monkeypatch.setattr(fem, "transfers", spy_transfers)
+    mesh, data = _lshape_draw(1 / 16, 0)
+    _, rep = solve_reduced(mesh, 0.5, data, method="alternating")
+    assert len(free_sets) == rep.diagnostics["iterations"]
+    assert len(set(free_sets)) >= 2
+    assert sorted(built) == sorted(set(free_sets))
+    assert rep.diagnostics["transfer_builds"] == len(built)
+    # no transfer or V-cycle state is left on the mesh
+    assert set(vars(mesh)) <= {f.name for f in dataclasses.fields(mesh)}
+    assert set(mesh.stiffness_cache) == {None}
 
 
 # -- gradient restart and the certified residual ----------------------------------
