@@ -237,10 +237,10 @@ def test_warm_start_keeps_the_passes_and_the_energy(h, m, seed, builds,
     _, warm = solve_reduced(mesh, m, data, method="alternating")
     original = reduced_solver.solve_constrained
 
-    def cold(*args, start=None, **kwargs):
+    def zero_start(*args, start=None, **kwargs):
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(reduced_solver, "solve_constrained", cold)
+    monkeypatch.setattr(reduced_solver, "solve_constrained", zero_start)
     _, cold = solve_reduced(mesh, m, data, method="alternating")
     w, c = warm.diagnostics, cold.diagnostics
     assert w["iterations"] == c["iterations"]
@@ -281,9 +281,8 @@ def test_transfers_are_built_once_per_free_set(monkeypatch):
 # -- gradient restart and the certified residual ----------------------------------
 
 def _all_insulated_lshape():
-    mesh = triangulate_bulk(PolygonalDomain(LSHAPE, ["insulated"] * 6), 1 / 64)
-    f = np.random.default_rng(3).uniform(0.5, 1.5, mesh.n_bulk_tris)
-    return mesh, 1.7, ProblemData(f=f), 15_000
+    mesh, data = _lshape_draw(1 / 64, 3)
+    return mesh, 1.7, data, 15_000
 
 
 def _neumann_lshape():
