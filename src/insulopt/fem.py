@@ -25,9 +25,21 @@ which conjugate gradients start, for example the previous solution of a
 loop; its free entries are the initial iterate and the fixed map still
 decides the fixed ones.  ``workspace`` is a ``SolveWorkspace`` that the
 caller creates and drops: it keeps the multigrid transfers of the last free
-set, rebuilt only when the free set changes, and tallies the transfer
-builds and PCG iterations of the sequence.  Without either argument a solve
-starts from zero and builds its whole V-cycle, as a single solve does.
+set, rebuilt only when the free set changes, and the last V-cycle, and it
+tallies the transfer builds, V-cycle builds and PCG iterations of the
+sequence.  Without either argument a solve starts from zero and builds its
+whole V-cycle, as a single solve does.
+
+The V-cycle is kept by spectral equivalence.  When the operators of the
+sequence are A = K + W with one fixed K >= 0 and a nonnegative diagonal W
+that the caller hands the workspace (``SolveWorkspace.robin``, for example
+a lumped Robin term), and the V-cycle was built for Abar = K + Wbar, then
+Wbar / c <= W <= c Wbar entrywise gives Abar / c <= A <= c Abar.  So on an
+unchanged free set the old V-cycle preconditions A with a condition number
+at most c^2 times that of a fresh one, which at c = ``REUSE_FACTOR`` = 2
+costs at most twice the PCG iterations; it is rebuilt otherwise.
+Conjugate gradients always run on the exact A, so the answer still meets
+``tol``.
 """
 from __future__ import annotations
 
@@ -44,11 +56,15 @@ from .errors import (
 )
 from .geometry import FacetLabel
 from .meshing import BULK, LAYER, LAYER_TOP
-from .multigrid import preconditioner, transfers
+from .multigrid import VCycle, preconditioner, transfers
 
 # 3-point Gauss on [0,1] (degree 5), used for weighted edge mass matrices
 _EDGE_GX = np.array([0.5 - np.sqrt(15) / 10, 0.5, 0.5 + np.sqrt(15) / 10])
 _EDGE_GW = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+
+# a kept V-cycle serves while the diagonal part of the operator stays within
+# this factor of the one it was built for (see the module docstring)
+REUSE_FACTOR = 2.0
 
 
 @dataclass
@@ -133,7 +149,11 @@ def assemble_stiffness(mesh, coeff=1.0, region=None):
     ke = b[:, None] * b[None]  # built in place: assembly sets peak memory
     ke += c[:, None] * c[None]
     ke *= coeff / (4.0 * area)
-    return _scatter(mesh, mask, ke)
+    K = _scatter(mesh, mask, ke)
+    # right angles leave exact zeros (cot 90 deg) that every product would
+    # visit
+    K.eliminate_zeros()
+    return K
 
 
 def stiffness(mesh, region=None):
@@ -279,22 +299,44 @@ def apply_dirichlet(A, b, fixed_values):
 class SolveWorkspace:
     """State shared by a sequence of ``solve_constrained`` calls on one
     mesh, owned by the caller for the length of the sequence: the multigrid
-    transfers of the last free set, and the transfer builds and PCG
-    iterations made so far."""
+    transfers of the last free set, the last V-cycle with the diagonal
+    ``robin`` it was built for, and the transfer builds, V-cycle builds and
+    PCG iterations made so far.
+
+    The caller sets ``robin`` before each solve to the diagonal W (on all
+    nodes) of the operator K + W, where K is the same in every solve.  The
+    V-cycle is rebuilt when the free set changes, when ``robin`` is None,
+    or when W leaves [Wbar / REUSE_FACTOR, REUSE_FACTOR Wbar] somewhere.
+    """
 
     def __init__(self):
         self.free = None
         self.levels = None
+        self.robin = None
+        self.vcycle = None
+        self.vcycle_robin = None
         self.transfer_builds = 0
+        self.vcycle_builds = 0
         self.pcg_iterations = 0
 
-    def levels_for(self, mesh, free):
-        """``multigrid.transfers`` of the ``free`` nodes of ``mesh``, built
-        only when the free set differs from the last one."""
+    def preconditioner(self, mesh, A, free):
+        """V-cycle for ``A`` on the ``free`` nodes of ``mesh``, or None
+        without a hierarchy; kept from the last call while its free set is
+        unchanged and ``robin`` is spectrally equivalent to the one it was
+        built for."""
+        if not mesh.hierarchy or not len(free):
+            return None
         if self.free is None or not np.array_equal(self.free, free):
             self.free, self.levels = free, transfers(mesh, free)
             self.transfer_builds += 1
-        return self.levels
+            self.vcycle = None
+        W, built = self.robin, self.vcycle_robin
+        if (self.vcycle is None or W is None or built is None
+                or np.any(W > REUSE_FACTOR * built)
+                or np.any(built > REUSE_FACTOR * W)):
+            self.vcycle, self.vcycle_robin = VCycle(A, self.levels), W
+            self.vcycle_builds += 1
+        return self.vcycle
 
     def count_iteration(self, _x):
         self.pcg_iterations += 1
@@ -309,16 +351,17 @@ def solve_constrained(mesh, A, b, fixed, tol=1e-10, max_iter=None,
     preconditions the conjugate gradients when there is one, the Jacobi
     diagonal otherwise.  PCG starts from the free entries of the field
     ``start`` when given, from zero otherwise.  A ``SolveWorkspace``
-    supplies the multigrid transfers and counts the work.
+    supplies the multigrid transfers and the V-cycle and counts the work.
     """
     sys = apply_dirichlet(A, b, fixed)
-    levels = callback = None
-    if workspace is not None:
+    if workspace is None:
+        precond = preconditioner(mesh, sys.matrix, sys.free)
+        callback = None
+    else:
+        precond = workspace.preconditioner(mesh, sys.matrix, sys.free)
         callback = workspace.count_iteration
-        if mesh.hierarchy and len(sys.free):
-            levels = workspace.levels_for(mesh, sys.free)
     x = solve_spd(sys.matrix, sys.rhs, tol=tol, max_iter=max_iter,
-                  precond=preconditioner(mesh, sys.matrix, sys.free, levels),
+                  precond=precond,
                   x0=None if start is None else start[sys.free],
                   callback=callback)
     return sys.expand(x)
@@ -333,6 +376,10 @@ def solve_spd(A, b, tol=1e-10, max_iter=None, precond=None, x0=None,
     Jacobi diagonal.  Starts from ``x0`` when given, from zero otherwise,
     and calls ``callback(x)`` after each iteration.  Stops at ``tol``
     relative residual |b - A x| <= tol |b|, at once when ``x0`` meets it.
+    The updated residual of the recurrence drifts from b - A x by rounding
+    in proportion to the iterates, so when it meets ``tol`` the true
+    residual is formed once, and the iteration restarts from it when it
+    does not meet ``tol``.
     """
     n = len(b)
     if n == 0:
@@ -368,11 +415,14 @@ def solve_spd(A, b, tol=1e-10, max_iter=None, precond=None, x0=None,
         r -= alpha * Ap
         if callback is not None:
             callback(x)
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x
+        restart = np.linalg.norm(r) <= tol * bnorm
+        if restart:
+            r = b - A @ x
+            if np.linalg.norm(r) <= tol * bnorm:
+                return x
         z = precond(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p = z if restart else z + (rz_new / rz) * p
         rz = rz_new
     raise NoConvergence(
         f"CG did not reach {tol:g} relative residual in {max_iter} iterations")

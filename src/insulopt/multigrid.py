@@ -22,7 +22,11 @@ free set: the restricted P and R = P^T of each level.  ``VCycle`` takes
 them and forms the operator half: the Galerkin products, the Jacobi weights
 and the coarse Cholesky factor.  A caller that solves a sequence of
 operators on one free set (``fem.SolveWorkspace``) builds the transfers once
-and passes them to ``preconditioner``; nothing is kept on the mesh.
+per free set, and keeps a whole V-cycle while its operators stay spectrally
+equivalent to the one it was built for: when Abar / 2 <= A <= 2 Abar, a
+V-cycle B for Abar gives kappa(B A) <= 4 kappa(B Abar).  A fresh fine level
+over coarse levels of an older operator has no such bound and is not used.
+Nothing is kept on the mesh.
 
 Only numpy and scipy.sparse are used: importing scipy.linalg or
 scipy.sparse.linalg costs several MB of resident memory.
@@ -98,21 +102,22 @@ def transfers(mesh, free=None):
     return levels
 
 
-def preconditioner(mesh, A, free=None, levels=None):
+def preconditioner(mesh, A, free=None):
     """V-cycle for ``A`` on the ``free`` nodes of ``mesh`` (all nodes when
-    None); None when the mesh has no hierarchy.  ``levels`` are the
-    ``transfers`` of that free set when the caller already has them.
+    None); None when the mesh has no hierarchy.
 
     Raises NoConvergence when a level shows that ``A`` is not positive
     definite.
     """
     if not mesh.hierarchy or A.shape[0] == 0:
         return None
-    return VCycle(A, transfers(mesh, free) if levels is None else levels)
+    return VCycle(A, transfers(mesh, free))
 
 
 class VCycle:
-    """Symmetric V-cycle: ``vcycle(r)`` approximates A^-1 r."""
+    """Symmetric V-cycle: ``vcycle(r)`` approximates A^-1 r for the
+    operator A it was built for, from that operator and the ``transfers``
+    of its free set."""
 
     def __init__(self, A, levels):
         self.levels = []  # (A, omega / diag(A), P, P^T), fine to coarse

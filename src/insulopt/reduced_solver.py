@@ -221,10 +221,13 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
     or |v_j| so small that the weight overflows) become zero constraints,
     the d_j = 0 limit of the Robin penalization.
 
-    Each pass starts conjugate gradients from the previous pass's field,
-    and one ``SolveWorkspace``, dropped on return, keeps the multigrid
-    transfers until a node is pinned.  The report's diagnostics carry the
-    PCG iterations of all passes and the transfer builds.
+    Each pass starts conjugate gradients from the previous pass's field.
+    One ``SolveWorkspace``, dropped on return, keeps the multigrid
+    transfers until a node is pinned, and the V-cycle while the lumped
+    Robin diagonal stays within ``fem.REUSE_FACTOR`` of the one it was
+    built for: the stiffness part of every pass is the same.  The report's
+    diagnostics carry the PCG iterations of all passes and the transfer and
+    V-cycle builds.
     """
     chain, b, fixed = _setup(mesh, m, data)
     K = stiffness(mesh)
@@ -238,6 +241,7 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
     for it in range(1, max_iter + 1):
         # the weight is zero at the zero-constrained nodes
         M = lumped_boundary_diagonal(mesh, chain, weight)
+        workspace.robin = M.diagonal()
         u = solve_constrained(mesh, K + M, b,
                               dirichlet_nodes(mesh, data, zero_nodes), tol=tol,
                               start=u, workspace=workspace)
@@ -250,7 +254,8 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
                 certified_residual=_certified_residual(K, b, fixed, chain, m,
                                                        u),
                 pcg_iterations=workspace.pcg_iterations,
-                transfer_builds=workspace.transfer_builds)
+                transfer_builds=workspace.transfer_builds,
+                vcycle_builds=workspace.vcycle_builds)
         I_old = I_new
         if s == 0.0:
             raise ZeroTrace(

@@ -326,9 +326,31 @@ def test_region_stiffness_holds_only_its_triangles(lshape_all_insulated):
     for region in (BULK, LAYER):
         tris = glued.tris[glued.region == region]
         pairs = {(a, b) for t in tris for a in t for b in t}
-        K = stiffness(glued, region).tocoo()
-        assert set(zip(K.row.tolist(), K.col.tolist())) <= pairs
-        assert stiffness(glued, region).nnz == len(pairs)
+        K = stiffness(glued, region)
+        coo = K.tocoo()
+        stored = set(zip(coo.row.tolist(), coo.col.tolist()))
+        assert stored <= pairs
+        # every pair but the exact zeros of right angles
+        assert {(a, a) for t in tris for a in t} <= stored
+        assert np.all(K.data != 0)
+
+
+@pytest.mark.parametrize("vertices,h,nnz,zeros",
+                         [(SQUARE, 1 / 32, 7361, 2048),
+                          (LSHAPE, 1 / 64, 57921, 12224)],
+                         ids=["square_h32", "lshape_h64"])
+def test_stiffness_stores_no_zeros(vertices, h, nnz, zeros, monkeypatch):
+    # right-angled cells assemble cot 90 deg = 0 entries
+    mesh = triangulate_bulk(
+        PolygonalDomain(vertices, ["insulated"] * len(vertices)), h)
+    K = stiffness(mesh)
+    assert np.count_nonzero(K.data == 0) == 0
+    monkeypatch.setattr(sp.csr_matrix, "eliminate_zeros", lambda self: None)
+    unpruned = assemble_stiffness(mesh)
+    assert unpruned.nnz == nnz
+    assert np.count_nonzero(unpruned.data == 0) == zeros == nnz - K.nnz
+    u = np.random.default_rng(0).standard_normal(len(mesh.nodes))
+    assert (K @ u).tobytes() == (unpruned @ u).tobytes()
 
 
 def test_meshes_start_with_an_empty_stiffness_store(lshape_all_insulated):

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -249,12 +251,47 @@ def test_warm_start_keeps_the_passes_and_the_energy(h, m, seed, builds,
     assert w["pcg_iterations"] < 0.8 * c["pcg_iterations"]
 
 
+def _rebuild_every_pass(monkeypatch):
+    """Make every alternating pass build a fresh V-cycle."""
+    from insulopt import reduced_solver
+
+    original = reduced_solver.solve_constrained
+
+    def rebuild(*args, workspace, **kwargs):
+        workspace.robin = None  # no stated diagonal: nothing to compare
+        return original(*args, workspace=workspace, **kwargs)
+
+    monkeypatch.setattr(reduced_solver, "solve_constrained", rebuild)
+
+
+@pytest.mark.filterwarnings("ignore::insulopt.errors.NonUniqueWarning")
+@pytest.mark.parametrize("h,m,seed,passes,max_builds",
+                         [(1 / 64, 1.7, 3, 21, 3),
+                          (1 / 16, 0.5, 0, 257, 257),
+                          (1 / 16, 0.5, 4, 336, 336)],
+                         ids=["m1.7", "m0.5_rng0", "m0.5_rng4"])
+def test_kept_vcycle_keeps_the_passes_and_the_energy(h, m, seed, passes,
+                                                     max_builds, monkeypatch):
+    # at m = 0.5 the weights of decaying nodes grow ~3.4x per pass, beyond
+    # the factor 2, so nearly every pass rebuilds there
+    mesh, data = _lshape_draw(h, seed)
+    _, kept = solve_reduced(mesh, m, data, method="alternating")
+    _rebuild_every_pass(monkeypatch)
+    _, fresh = solve_reduced(mesh, m, data, method="alternating")
+    k, f = kept.diagnostics, fresh.diagnostics
+    assert k["iterations"] == f["iterations"] == f["vcycle_builds"] == passes
+    assert abs(kept.total - fresh.total) <= 1e-12 * abs(fresh.total)
+    assert k["vcycle_builds"] <= max_builds
+    assert k["pcg_iterations"] <= 1.1 * f["pcg_iterations"]
+
+
 @pytest.mark.filterwarnings("ignore::insulopt.errors.NonUniqueWarning")
 def test_transfers_are_built_once_per_free_set(monkeypatch):
     from insulopt import fem
 
-    free_sets, built = [], []
+    free_sets, built, vcycles = [], [], []
     apply_dirichlet, transfers = fem.apply_dirichlet, fem.transfers
+    VCycle = fem.VCycle
 
     def spy_dirichlet(*args):
         sys = apply_dirichlet(*args)
@@ -265,17 +302,27 @@ def test_transfers_are_built_once_per_free_set(monkeypatch):
         built.append(tuple(free))
         return transfers(mesh, free)
 
+    def spy_vcycle(A, levels):
+        vcycle = VCycle(A, levels)
+        vcycles.append(weakref.ref(vcycle))
+        return vcycle
+
     monkeypatch.setattr(fem, "apply_dirichlet", spy_dirichlet)
     monkeypatch.setattr(fem, "transfers", spy_transfers)
+    monkeypatch.setattr(fem, "VCycle", spy_vcycle)
     mesh, data = _lshape_draw(1 / 16, 0)
     _, rep = solve_reduced(mesh, 0.5, data, method="alternating")
     assert len(free_sets) == rep.diagnostics["iterations"]
     assert len(set(free_sets)) >= 2
     assert sorted(built) == sorted(set(free_sets))
     assert rep.diagnostics["transfer_builds"] == len(built)
-    # no transfer or V-cycle state is left on the mesh
+    assert rep.diagnostics["vcycle_builds"] == len(vcycles) >= len(built)
+    # no transfer or V-cycle state is left on the mesh, and the workspace
+    # let go of its V-cycles on return
     assert set(vars(mesh)) <= {f.name for f in dataclasses.fields(mesh)}
     assert set(mesh.stiffness_cache) == {None}
+    gc.collect()
+    assert all(ref() is None for ref in vcycles)
 
 
 # -- gradient restart and the certified residual ----------------------------------
