@@ -251,19 +251,6 @@ def test_warm_start_keeps_the_passes_and_the_energy(h, m, seed, builds,
     assert w["pcg_iterations"] < 0.8 * c["pcg_iterations"]
 
 
-def _rebuild_every_pass(monkeypatch):
-    """Make every alternating pass build a fresh V-cycle."""
-    from insulopt import reduced_solver
-
-    original = reduced_solver.solve_constrained
-
-    def rebuild(*args, workspace, **kwargs):
-        workspace.robin = None  # no stated diagonal: nothing to compare
-        return original(*args, workspace=workspace, **kwargs)
-
-    monkeypatch.setattr(reduced_solver, "solve_constrained", rebuild)
-
-
 @pytest.mark.filterwarnings("ignore::insulopt.errors.NonUniqueWarning")
 @pytest.mark.parametrize("h,m,seed,passes,max_builds",
                          [(1 / 64, 1.7, 3, 21, 3),
@@ -274,9 +261,18 @@ def test_kept_vcycle_keeps_the_passes_and_the_energy(h, m, seed, passes,
                                                      max_builds, monkeypatch):
     # at m = 0.5 the weights of decaying nodes grow ~3.4x per pass, beyond
     # the factor 2, so nearly every pass rebuilds there
+    from insulopt import reduced_solver
+
     mesh, data = _lshape_draw(h, seed)
     _, kept = solve_reduced(mesh, m, data, method="alternating")
-    _rebuild_every_pass(monkeypatch)
+    original = reduced_solver.solve_constrained
+
+    def rebuild_every_pass(*args, workspace, **kwargs):
+        workspace.robin = None  # no diagonal to compare: always rebuild
+        return original(*args, workspace=workspace, **kwargs)
+
+    monkeypatch.setattr(reduced_solver, "solve_constrained",
+                        rebuild_every_pass)
     _, fresh = solve_reduced(mesh, m, data, method="alternating")
     k, f = kept.diagnostics, fresh.diagnostics
     assert k["iterations"] == f["iterations"] == f["vcycle_builds"] == passes
