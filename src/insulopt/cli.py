@@ -20,12 +20,18 @@ from .config import apply_overrides, parse_config, validate_config
 from .convergence import gamma_sweep, lebesgue_limit_check
 from .errors import ConfigError, GeometryError, SchemaError, SolverError
 from .fem import ProblemData
-from .geometry import InsulationDistribution, PolygonalDomain, build_transversal_field
+from .geometry import (
+    InsulationDistribution,
+    PolygonalDomain,
+    _component_locate,
+    _lumped_weights,
+    build_transversal_field,
+)
 from .layer_solver import solve_eps
 from .meshing import extrude_layer, triangulate_bulk
 from .reduced_solver import solve_reduced
 from .robin_solver import solve_limit
-from .thickness import profile_table, reconstruct_distribution
+from .thickness import profile_table, reconstruct_distribution, to_normal_thickness
 from .vtk_io import write_boundary_vtk, write_csv, write_vtk
 
 
@@ -158,9 +164,6 @@ def cmd_reconstruct(cfg):
 
 
 def _component_weight_tilde(dist):
-    from .geometry import _lumped_weights
-    from .thickness import to_normal_thickness
-
     tilde = to_normal_thickness(dist)
     for ci, comp in enumerate(dist.domain.insulated_components):
         w = _lumped_weights(dist.component_coords[ci], comp.cyclic, comp.length)
@@ -168,9 +171,6 @@ def _component_weight_tilde(dist):
 
 
 def _profile_geometry(dist):
-    from .geometry import _component_locate
-    from .thickness import to_normal_thickness
-
     domain = dist.domain
     pts, segs = [], []
     for ci, comp in enumerate(domain.insulated_components):

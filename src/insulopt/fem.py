@@ -11,24 +11,23 @@ stiffness of each mesh (and of each region of a glued mesh) on the mesh at
 first use; every solver and energy evaluator shares those operators.
 
 Every linear solve of the three problems goes through ``solve_constrained``:
-the solver modules pass an operator, a right-hand side and the fixed
-node -> value map of ``dirichlet_nodes``.  That one path eliminates the
-fixed nodes, owns the preconditioner choice and runs ``solve_spd``
-(preconditioned conjugate gradients): a multigrid V-cycle
-(``multigrid.preconditioner``) on meshes that carry their red-refinement
-hierarchy, which keeps the iteration count flat in h, and the Jacobi
-diagonal on other meshes.
+the solver modules pass an operator, a right-hand side, the fixed
+node -> value map of ``dirichlet_nodes`` and a ``SolveWorkspace``.  That one
+path eliminates the fixed nodes, owns the preconditioner choice and runs
+``solve_spd`` (preconditioned conjugate gradients): a multigrid V-cycle on
+meshes that carry their red-refinement hierarchy, which keeps the
+iteration count flat in h, and the Jacobi diagonal on other meshes.
 
-A sequence of solves on one mesh can reuse work through two optional
-arguments of ``solve_constrained``.  ``start`` is a field on all nodes from
-which conjugate gradients start, for example the previous solution of a
-loop; its free entries are the initial iterate and the fixed map still
-decides the fixed ones.  ``workspace`` is a ``SolveWorkspace`` that the
-caller creates and drops: it keeps the multigrid transfers of the last free
+The workspace is created and dropped by the caller: a single solve
+(``solve_limit``, ``solve_eps``) makes a fresh one, and a sequence of solves
+on one mesh shares one.  It keeps the multigrid transfers of the last free
 set, rebuilt only when the free set changes, and the last V-cycle, and it
-tallies the transfer builds, V-cycle builds and PCG iterations of the
-sequence.  Without either argument a solve starts from zero and builds its
-whole V-cycle, as a single solve does.
+tallies the transfer builds, V-cycle builds and PCG iterations
+(``SolveWorkspace.work``), which every solver reports in its diagnostics.
+A sequence can also pass ``start``, a field on all nodes from which
+conjugate gradients start, for example the previous solution of a loop; its
+free entries are the initial iterate and the fixed map still decides the
+fixed ones.  Without it a solve starts from zero.
 
 The V-cycle is kept by spectral equivalence.  When the operators of the
 sequence are A = K + W with one fixed K >= 0 and a nonnegative diagonal W
@@ -55,8 +54,8 @@ from .errors import (
     UnknownLabel,
 )
 from .geometry import FacetLabel
-from .meshing import BULK, LAYER, LAYER_TOP
-from .multigrid import VCycle, preconditioner, transfers
+from .meshing import BULK, LAYER, LAYER_TOP, insulated_chain
+from .multigrid import VCycle, transfers
 
 # 3-point Gauss on [0,1] (degree 5), used for weighted edge mass matrices
 _EDGE_GX = np.array([0.5 - np.sqrt(15) / 10, 0.5, 0.5 + np.sqrt(15) / 10])
@@ -341,29 +340,31 @@ class SolveWorkspace:
     def count_iteration(self, _x):
         self.pcg_iterations += 1
 
+    def work(self):
+        """The PCG iterations, transfer builds and V-cycle builds so far,
+        under the keys the solvers report them by."""
+        return {"pcg_iterations": self.pcg_iterations,
+                "transfer_builds": self.transfer_builds,
+                "vcycle_builds": self.vcycle_builds}
 
-def solve_constrained(mesh, A, b, fixed, tol=1e-10, max_iter=None,
-                      start=None, workspace=None):
+
+def solve_constrained(mesh, A, b, fixed, workspace, tol=1e-10, max_iter=None,
+                      start=None):
     """Solve the SPD system ``A u = b`` on ``mesh`` with u fixed at the
     nodes of the node -> value map ``fixed``; returns u on all nodes.
 
-    The one solve path of the package: the V-cycle of the mesh hierarchy
-    preconditions the conjugate gradients when there is one, the Jacobi
-    diagonal otherwise.  PCG starts from the free entries of the field
-    ``start`` when given, from zero otherwise.  A ``SolveWorkspace``
-    supplies the multigrid transfers and the V-cycle and counts the work.
+    The one solve path of the package: the V-cycle of the mesh hierarchy,
+    supplied by the ``SolveWorkspace``, preconditions the conjugate
+    gradients when there is one, the Jacobi diagonal otherwise, and the
+    workspace counts the iterations.  PCG starts from the free entries of
+    the field ``start`` when given, from zero otherwise.
     """
     sys = apply_dirichlet(A, b, fixed)
-    if workspace is None:
-        precond = preconditioner(mesh, sys.matrix, sys.free)
-        callback = None
-    else:
-        precond = workspace.preconditioner(mesh, sys.matrix, sys.free)
-        callback = workspace.count_iteration
     x = solve_spd(sys.matrix, sys.rhs, tol=tol, max_iter=max_iter,
-                  precond=precond,
+                  precond=workspace.preconditioner(mesh, sys.matrix,
+                                                   sys.free),
                   x0=None if start is None else start[sys.free],
-                  callback=callback)
+                  callback=workspace.count_iteration)
     return sys.expand(x)
 
 
@@ -465,8 +466,6 @@ def eval_E_limit(mesh, u, field, dist, data, interface="consistent",
     algebra exactly).  ``load`` is ``assemble_load(mesh, data.f)`` when the
     caller already has it.
     """
-    from .meshing import insulated_chain
-
     grad = 0.5 * float(u @ (stiffness(mesh) @ u))
     if interface == "consistent":
         iface = 0.5 * float(u @ (robin_boundary_mass(mesh, field, dist) @ u))
@@ -520,8 +519,6 @@ def eval_E_eps(mesh, u, eps, data, load=None):
 
 def eval_I(mesh, u, m, data, chain=None):
     """Reduced objective 1/2 |grad u|^2 - (f,u) + (1/2m) |u|_{1,GI}^2 - <g,u>."""
-    from .meshing import insulated_chain
-
     if chain is None:
         chain = insulated_chain(mesh)
     grad = 0.5 * float(u @ (stiffness(mesh) @ u))

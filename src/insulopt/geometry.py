@@ -150,7 +150,8 @@ class PolygonalDomain:
         n = len(self.facets)
         ins = [f.label is FacetLabel.INSULATED for f in self.facets]
         if all(ins):
-            comp = InsulatedComponent(list(range(n)), 0.0, self.perimeter, True)
+            out = [InsulatedComponent(list(range(n)), 0.0, self.perimeter,
+                                      True)]
         else:
             comps = []
             # start scanning right after a non-insulated facet
@@ -171,17 +172,12 @@ class PolygonalDomain:
                 out.append(InsulatedComponent(
                     run, float(self.facet_arc_start[run[0]]), length, False))
             out.sort(key=lambda c: c.start_arc)
-            for comp in out:
-                off = 0.0
-                for fid in comp.facets:
-                    comp.facet_offsets[fid] = off
-                    off += self.lengths[fid]
-            return out
-        off = 0.0
-        for fid in comp.facets:
-            comp.facet_offsets[fid] = off
-            off += self.lengths[fid]
-        return [comp]
+        for comp in out:
+            off = 0.0
+            for fid in comp.facets:
+                comp.facet_offsets[fid] = off
+                off += self.lengths[fid]
+        return out
 
     # -- boundary parametrization ------------------------------------------
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import MeshMismatch
 from .fem import (
+    SolveWorkspace,
     assemble_load,
     assemble_mass,
     assemble_neumann,
@@ -27,7 +28,8 @@ POINCARE_SLACK = 0.05
 def solve_eps(mesh, eps, data, tol=1e-10, max_iter=None, load=None):
     """Solve the transmission problem; returns (u, EnergyReport).
 
-    The report's diagnostics carry the equi-coercivity norms and the worst
+    The report's diagnostics carry the PCG iterations and the transfer and
+    V-cycle builds of the solve, the equi-coercivity norms and the worst
     fiber ratio of the point-wise Poincare inequality.  ``load`` is
     ``assemble_load(mesh, data.f)`` when the caller already has it.
     """
@@ -41,10 +43,15 @@ def solve_eps(mesh, eps, data, tol=1e-10, max_iter=None, load=None):
     if load is None:
         load = assemble_load(mesh, data.f)
     b = load + assemble_neumann(mesh, data)
+    # read the work and drop the workspace's V-cycle before the energies
+    workspace = SolveWorkspace()
     u = solve_constrained(mesh, A, b, dirichlet_nodes(mesh, data), tol=tol,
-                          max_iter=max_iter)
+                          max_iter=max_iter, workspace=workspace)
+    work = workspace.work()
+    del workspace
 
     report = eval_E_eps(mesh, u, eps, data, load=load)
+    report.diagnostics.update(work)
     report.diagnostics.update(equicoercivity_norms(mesh, u, eps))
     report.diagnostics["poincare_max_ratio"] = poincare_fiber_check(mesh, u)
     return u, report

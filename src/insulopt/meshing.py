@@ -97,7 +97,6 @@ def ear_clip(vertices):
 class ExtrusionInfo:
     eps: float
     n_t: int
-    layer_base: np.ndarray   # per node: base chain node id, -1 outside fibers
     layer_t: np.ndarray      # fiber offset, NaN outside fibers
     fiber_nodes: list        # per component: (n_chain, n_t+1) node id array
 
@@ -121,7 +120,6 @@ class TriMesh:
     n_bulk_nodes: int
     n_bulk_tris: int
     extrusion: ExtrusionInfo | None = None
-    interface_edges: np.ndarray | None = None
     # red-refinement levels, coarse to fine: the (E, 2) parent nodes of the
     # E midpoints a level appends after the nodes of the level below it
     hierarchy: tuple = ()
@@ -395,8 +393,6 @@ def extrude_layer(bulk, field, dist, eps, n_t):
     nodes = np.concatenate([bulk.nodes, *points])
     layer_tris = _rows(tris, 3)
     all_fibers = _rows(fiber_nodes, n_t + 1)
-    layer_base = np.full(len(nodes), -1, dtype=int)
-    layer_base[all_fibers] = all_fibers[:, :1]
     layer_t = np.full(len(nodes), np.nan)
     layer_t[all_fibers[:, 0]] = 0.0
     layer_t[all_fibers[:, 1:]] = _rows(offsets, n_t)
@@ -423,9 +419,8 @@ def extrude_layer(bulk, field, dist, eps, n_t):
             np.full((len(top) + len(side), 2), np.nan)]),
         n_bulk_nodes=len(bulk.nodes),
         n_bulk_tris=bulk.n_bulk_tris,
-        extrusion=ExtrusionInfo(eps=eps, n_t=n_t, layer_base=layer_base,
-                                layer_t=layer_t, fiber_nodes=fiber_nodes),
-        interface_edges=bulk.boundary_edges[iface],
+        extrusion=ExtrusionInfo(eps=eps, n_t=n_t, layer_t=layer_t,
+                                fiber_nodes=fiber_nodes),
         hierarchy=bulk.hierarchy,
     )
     glued.chain_cache = bulk.chain_cache

@@ -20,13 +20,14 @@ Coarsening stops at COARSE_SIZE unknowns, which are solved densely.
 The build has two halves.  ``transfers`` depends only on the mesh and the
 free set: the restricted P and R = P^T of each level.  ``VCycle`` takes
 them and forms the operator half: the Galerkin products, the Jacobi weights
-and the coarse Cholesky factor.  A caller that solves a sequence of
-operators on one free set (``fem.SolveWorkspace``) builds the transfers once
-per free set, and keeps a whole V-cycle while its operators stay spectrally
-equivalent to the one it was built for: when Abar / 2 <= A <= 2 Abar, a
-V-cycle B for Abar gives kappa(B A) <= 4 kappa(B Abar).  A fresh fine level
-over coarse levels of an older operator has no such bound and is not used.
-Nothing is kept on the mesh.
+and the coarse Cholesky factor.  Every solve gets its V-cycle from a
+``fem.SolveWorkspace``, which builds the transfers once per free set and,
+over a sequence of operators on one free set, keeps a whole V-cycle while
+its operators stay spectrally equivalent to the one it was built for: when
+Abar / 2 <= A <= 2 Abar, a V-cycle B for Abar gives
+kappa(B A) <= 4 kappa(B Abar).  A fresh fine level over coarse levels of an
+older operator has no such bound and is not used.  Nothing is kept on the
+mesh.
 
 Only numpy and scipy.sparse are used: importing scipy.linalg or
 scipy.sparse.linalg costs several MB of resident memory.
@@ -81,15 +82,12 @@ def prolongation(free, n_coarse, rows, cols, weights):
     return sp.csr_matrix((v, (r, c)), shape=(int(at[-1]) + 1, n_free_coarse))
 
 
-def transfers(mesh, free=None):
+def transfers(mesh, free):
     """Restricted prolongations and restrictions (P, R = P^T) of the levels
-    of ``mesh`` for the ``free`` nodes (all nodes when None), fine to
-    coarse, down to COARSE_SIZE free unknowns."""
-    if free is None:
-        mask = np.ones(len(mesh.nodes), dtype=bool)
-    else:
-        mask = np.zeros(len(mesh.nodes), dtype=bool)
-        mask[free] = True
+    of ``mesh`` for the ``free`` nodes, fine to coarse, down to COARSE_SIZE
+    free unknowns."""
+    mask = np.zeros(len(mesh.nodes), dtype=bool)
+    mask[free] = True
     levels = []
     n_free = int(np.count_nonzero(mask))
     for n_coarse, rows, cols, weights in stencils(mesh):
@@ -102,22 +100,11 @@ def transfers(mesh, free=None):
     return levels
 
 
-def preconditioner(mesh, A, free=None):
-    """V-cycle for ``A`` on the ``free`` nodes of ``mesh`` (all nodes when
-    None); None when the mesh has no hierarchy.
-
-    Raises NoConvergence when a level shows that ``A`` is not positive
-    definite.
-    """
-    if not mesh.hierarchy or A.shape[0] == 0:
-        return None
-    return VCycle(A, transfers(mesh, free))
-
-
 class VCycle:
     """Symmetric V-cycle: ``vcycle(r)`` approximates A^-1 r for the
     operator A it was built for, from that operator and the ``transfers``
-    of its free set."""
+    of its free set.  Raises NoConvergence when a level shows that A is not
+    positive definite."""
 
     def __init__(self, A, levels):
         self.levels = []  # (A, omega / diag(A), P, P^T), fine to coarse

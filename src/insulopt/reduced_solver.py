@@ -253,9 +253,7 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
                 residual=abs(I_new - I_old), method="alternating",
                 certified_residual=_certified_residual(K, b, fixed, chain, m,
                                                        u),
-                pcg_iterations=workspace.pcg_iterations,
-                transfer_builds=workspace.transfer_builds,
-                vcycle_builds=workspace.vcycle_builds)
+                **workspace.work())
         I_old = I_new
         if s == 0.0:
             raise ZeroTrace(

@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import MeshMismatch, NonpositiveWeight
 from .fem import (
+    SolveWorkspace,
     assemble_load,
     assemble_neumann,
     dirichlet_nodes,
@@ -47,7 +48,11 @@ def robin_operator(mesh, field, dist, quadrature="consistent"):
 
 def solve_limit(mesh, field, dist, data, tol=1e-10, max_iter=None,
                 robin_quadrature="consistent"):
-    """Solve the limit problem on a bulk mesh; returns (u, EnergyReport)."""
+    """Solve the limit problem on a bulk mesh; returns (u, EnergyReport).
+
+    The report's diagnostics carry the PCG iterations and the transfer and
+    V-cycle builds of the solve.
+    """
     if np.any(mesh.region != BULK):
         raise MeshMismatch("solve_limit expects a bulk mesh without a layer")
     data.validate(mesh.domain)
@@ -56,11 +61,16 @@ def solve_limit(mesh, field, dist, data, tol=1e-10, max_iter=None,
     A, zero_nodes = robin_operator(mesh, field, dist, robin_quadrature)
     load = assemble_load(mesh, data.f)
     b = load + assemble_neumann(mesh, data)
+    # read the work and drop the workspace's V-cycle before the energies
+    workspace = SolveWorkspace()
     u = solve_constrained(mesh, A, b, dirichlet_nodes(mesh, data, zero_nodes),
-                          tol=tol, max_iter=max_iter)
+                          tol=tol, max_iter=max_iter, workspace=workspace)
+    work = workspace.work()
+    del workspace
     report = eval_E_limit(mesh, u, field, dist, data,
                           interface=("lumped" if robin_quadrature == "lumped"
                                      else "consistent"), load=load)
+    report.diagnostics.update(work)
     return u, report
 
 

@@ -319,15 +319,12 @@ def test_glued_mesh_conforming(case, n_t, knots, eps):
     for e, count in edges.items():
         assert count == (1 if e in boundary else 2)
     assert np.all(glued.signed_areas() > 0)
-    # every insulated-interface node touches both regions
-    for node in np.unique(glued.interface_edges):
-        touching = set(glued.region[np.any(glued.tris == node, axis=1)])
-        assert touching == {BULK, LAYER}
-
     ext = glued.extrusion
     fibers = ext.fibers
-    assert np.array_equal(ext.layer_base[fibers],
-                          np.broadcast_to(fibers[:, :1], fibers.shape))
+    # every insulated-interface node touches both regions
+    for node in np.unique(fibers[:, 0]):
+        touching = set(glued.region[np.any(glued.tris == node, axis=1)])
+        assert touching == {BULK, LAYER}
     assert np.all(np.diff(ext.layer_t[fibers], axis=1) > 0)
     # reference: x_j + ((eps d_j) l / n_t) k_j, one fiber node at a time
     chain = insulated_chain(mesh)
@@ -353,9 +350,9 @@ def test_fiber_coordinates_bounds(square_all_insulated):
     eps = 0.07
     glued = extrude_layer(mesh, field, dist, eps, n_t=4)
     ext = glued.extrusion
-    have = ext.layer_base >= 0
-    assert np.nanmax(ext.layer_t[have]) <= eps * dist.max_value() + 1e-15
-    assert np.nanmin(ext.layer_t[have]) >= 0.0
+    t = ext.layer_t[ext.fibers]
+    assert t.max() <= eps * dist.max_value() + 1e-15
+    assert t.min() >= 0.0
 
 
 def test_layer_area_consistency_order(square_all_insulated):

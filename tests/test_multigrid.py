@@ -26,7 +26,7 @@ from insulopt.geometry import (
 )
 from insulopt.layer_solver import solve_eps
 from insulopt.meshing import BULK, LAYER, extrude_layer, triangulate_bulk
-from insulopt.multigrid import preconditioner, prolongation, stencils
+from insulopt.multigrid import VCycle, prolongation, stencils, transfers
 from insulopt.robin_solver import robin_operator, solve_limit
 
 from conftest import LSHAPE
@@ -87,10 +87,18 @@ def test_glued_mesh_carries_the_bulk_hierarchy():
 
 
 def test_mesh_without_hierarchy_keeps_jacobi():
-    domain = PolygonalDomain(LSHAPE, ["insulated"] * 6)
-    mesh = triangulate_bulk(domain, 10.0)  # ear clipping only
+    field, dist, _ = lshape(1 / 8)
+    mesh = triangulate_bulk(field.domain, 10.0)  # ear clipping only
     assert mesh.hierarchy == ()
-    assert preconditioner(mesh, stiffness(mesh)) is None
+    free = np.arange(len(mesh.nodes))
+    assert SolveWorkspace().preconditioner(mesh, stiffness(mesh), free) is None
+    data = ProblemData(f=1.0)
+    glued = extrude_layer(mesh, field, dist, 0.05, n_t=2)
+    for _, rep in (solve_limit(mesh, field, dist, data),
+                   solve_eps(glued, 0.05, data)):
+        d = rep.diagnostics
+        assert d["transfer_builds"] == d["vcycle_builds"] == 0
+        assert d["pcg_iterations"] > 0
 
 
 @pytest.mark.parametrize("h", [1 / 32, 1 / 64])
@@ -104,6 +112,9 @@ def test_limit_solve_converges_in_few_iterations(h, quadrature):
     t = rep.terms
     lhs = 2.0 * (t["grad"] + t["interface"])
     assert lhs == pytest.approx(t["source"] + t["neumann"], rel=1e-9)
+    d = rep.diagnostics
+    assert d["transfer_builds"] == d["vcycle_builds"] == 1
+    assert 0 < d["pcg_iterations"] <= 40
 
 
 @pytest.mark.parametrize("h", [1 / 32, 1 / 64])
@@ -117,6 +128,9 @@ def test_thin_layer_solve_converges_in_few_iterations(h, scale):
     t = rep.terms
     lhs = 2.0 * (t["grad"] + t["grad_layer_scaled"])
     assert lhs == pytest.approx(t["source"] + t["neumann"], rel=1e-9)
+    d = rep.diagnostics
+    assert d["transfer_builds"] == d["vcycle_builds"] == 1
+    assert 0 < d["pcg_iterations"] <= 40
 
 
 def random_system(h, glued, frac, rng):
@@ -143,8 +157,8 @@ def test_multigrid_and_jacobi_agree(seed, frac, glued):
     mesh, sys = random_system(1 / 32, glued, frac,
                               np.random.default_rng(seed))
     x_jacobi = solve_spd(sys.matrix, sys.rhs, tol=1e-12)
-    mg = preconditioner(mesh, sys.matrix, sys.free)
-    assert mg is not None
+    mg = VCycle(sys.matrix, transfers(mesh, sys.free))
+    assert mg.levels
     x_mg = solve_spd(sys.matrix, sys.rhs, tol=1e-12, precond=mg)
     assert (np.linalg.norm(x_mg - x_jacobi)
             <= 1e-8 * np.linalg.norm(x_jacobi))
@@ -155,7 +169,7 @@ def test_exact_start_needs_no_preconditioner(glued):
     rng = np.random.default_rng(1)
     mesh, sys = random_system(1 / 32, glued, 0.1, rng)
     x = rng.standard_normal(len(sys.rhs))
-    mg = preconditioner(mesh, sys.matrix, sys.free)
+    mg = VCycle(sys.matrix, transfers(mesh, sys.free))
     applied = []
 
     def counting(r):
@@ -175,7 +189,7 @@ def test_random_start_reaches_the_zero_start_solution(seed, frac, glued,
     rng = np.random.default_rng(seed)
     mesh, sys = random_system(1 / 32, glued, frac, rng)
     A, b, tol = sys.matrix, sys.rhs, 1e-10
-    mg = preconditioner(mesh, A, sys.free)
+    mg = VCycle(A, transfers(mesh, sys.free))
     x_zero = solve_spd(A, b, tol=tol, precond=mg)
     # sized on the solution; at 1e3 the updated residual meets tol while
     # the true one does not, and the iteration restarts from the true one
@@ -224,7 +238,7 @@ def test_kept_vcycle_serves_a_spectrally_equivalent_operator(seed, frac,
                       callback=steps.append)
         return x, len(steps)
 
-    x_fresh, fresh_steps = solve(preconditioner(mesh, A, sys.free))
+    x_fresh, fresh_steps = solve(VCycle(A, transfers(mesh, sys.free)))
     x, steps = solve(kept)
     assert steps <= 2 * fresh_steps + 2
     assert np.linalg.norm(sys.rhs - A @ x) <= tol * np.linalg.norm(sys.rhs)
@@ -251,7 +265,7 @@ def test_multigrid_rejects_an_indefinite_system(seed, frac, glued, t):
     A = shifted(sys, t)
     with pytest.raises(NoConvergence):
         solve_spd(A, sys.rhs, tol=1e-12,
-                  precond=preconditioner(mesh, A, sys.free))
+                  precond=VCycle(A, transfers(mesh, sys.free)))
 
 
 @pytest.mark.parametrize("glued", [False, True])
@@ -260,7 +274,7 @@ def test_coarsest_level_rejects_a_smooth_negative_mode(glued):
     # so the Galerkin coarse operator is indefinite too
     mesh, sys = random_system(1 / 16, glued, 0.0, np.random.default_rng(0))
     with pytest.raises(NoConvergence, match="coarsest level"):
-        preconditioner(mesh, shifted(sys, 0.5), sys.free)
+        VCycle(shifted(sys, 0.5), transfers(mesh, sys.free))
 
 
 SOLVE_BOTH = """
