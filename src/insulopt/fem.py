@@ -23,7 +23,7 @@ The workspace is created and dropped by the caller: a single solve
 on one mesh shares one.  It keeps the multigrid transfers of the last free
 set, rebuilt only when the free set changes, and the last V-cycle, and it
 tallies the transfer builds, V-cycle builds and PCG iterations
-(``SolveWorkspace.work``), which every solver reports in its diagnostics.
+(``SolveWorkspace.work``), which the solvers report in their diagnostics.
 A sequence can also pass ``start``, a field on all nodes from which
 conjugate gradients start, for example the previous solution of a loop; its
 free entries are the initial iterate and the fixed map still decides the
@@ -296,16 +296,16 @@ def apply_dirichlet(A, b, fixed_values):
 
 
 class SolveWorkspace:
-    """State shared by a sequence of ``solve_constrained`` calls on one
-    mesh, owned by the caller for the length of the sequence: the multigrid
-    transfers of the last free set, the last V-cycle with the diagonal
-    ``robin`` it was built for, and the transfer builds, V-cycle builds and
-    PCG iterations made so far.
+    """State of one solve, or of a sequence of solves on one mesh, owned by
+    the caller for that long: the multigrid transfers of the last free set,
+    the last V-cycle with the diagonal ``robin`` it was built for, and the
+    transfer builds, V-cycle builds and PCG iterations made so far.
 
-    The caller sets ``robin`` before each solve to the diagonal W (on all
-    nodes) of the operator K + W, where K is the same in every solve.  The
-    V-cycle is rebuilt when the free set changes, when ``robin`` is None,
-    or when W leaves [Wbar / REUSE_FACTOR, REUSE_FACTOR Wbar] somewhere.
+    In a sequence, the caller sets ``robin`` before each solve to the
+    diagonal W (on all nodes) of the operator K + W, where K is the same in
+    every solve.  The V-cycle is rebuilt when the free set changes, when
+    ``robin`` is None (as in a fresh workspace), or when W leaves
+    [Wbar / REUSE_FACTOR, REUSE_FACTOR Wbar] somewhere.
     """
 
     def __init__(self):
