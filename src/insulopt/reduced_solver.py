@@ -6,11 +6,12 @@ uses the lumped trace norm sum_j w_j |v_j|, whose squared form has an exact
 separable proximal map.  Two independent algorithms are provided and must
 agree: accelerated proximal gradients on the free nodes, and alternating
 minimization that bounces between the explicit optimal thickness and the
-Robin solve.
+Robin solve, Anderson-accelerated under an energy safeguard.
 """
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ from .meshing import insulated_chain
 from .multigrid import rayleigh_power
 
 POWER_ITERATIONS = 50
+# depth of the alternating method's Anderson mixing: the differences of the
+# last ANDERSON_DEPTH + 1 (G(u), G(u) - u) pairs enter the least squares
+ANDERSON_DEPTH = 5
 
 
 @dataclass
@@ -212,56 +216,99 @@ def solve_reduced_proxgrad(mesh, m, data, tol=1e-10, max_iter=200_000):
                       certified_residual=res / bnorm, restarts=restarts)
 
 
+def _anderson_mix(history):
+    """Type-II Anderson mix of the (G(u_i), G(u_i) - u_i) pairs in
+    ``history``, oldest first: G(u_k) - dG gamma, with gamma the least-squares
+    fit of dF gamma ~ f_k over the differences of consecutive pairs.  The
+    coefficients of the G(u_i) sum to 1, so values shared by all of them (the
+    Dirichlet data, the pinned zeros) are kept exactly.  None when gamma is
+    not finite."""
+    G = np.array([g for g, _ in history]).T
+    F = np.array([f for _, f in history]).T
+    gamma = np.linalg.lstsq(np.diff(F, axis=1), F[:, -1], rcond=None)[0]
+    if not np.all(np.isfinite(gamma)):
+        return None
+    return G[:, -1] - np.diff(G, axis=1) @ gamma
+
+
 def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
-    """Alternate the explicit optimal thickness with the Robin solve.
+    """Alternate the explicit optimal thickness with the Robin solve, and
+    Anderson-mix the passes where that lowers the energy.
 
     With the lumped interface rule the Robin weight of the reconstructed
     thickness is s/(m |v_j|), so each pass is an exact block descent on the
-    discrete coupled functional.  Nodes whose weight is not finite (v_j = 0,
-    or |v_j| so small that the weight overflows) become zero constraints,
-    the d_j = 0 limit of the Robin penalization.
+    discrete coupled functional: the Robin field G(u) of the thickness of u
+    has I(G(u)) <= I(u).  Nodes whose weight is not finite (u_j = 0, or
+    |u_j| so small that the weight overflows) become zero constraints, the
+    d_j = 0 limit of the Robin penalization.
 
-    Each pass starts conjugate gradients from the previous pass's field.
-    One ``SolveWorkspace``, dropped on return, keeps the multigrid
+    The last ``ANDERSON_DEPTH`` + 1 pairs (G(u), G(u) - u) form the type-II
+    Anderson mix of depth ``ANDERSON_DEPTH`` (``_anderson_mix``; Walker &
+    Ni, SIAM J. Numer. Anal. 2011).  The next pass starts from the mix only
+    if I(mix) < I(G(u)), and from G(u) otherwise, so I never increases (the
+    safeguard of Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020).  The
+    history is cleared when the set of pinned nodes changes.  The loop stops
+    after a plain pass that lowers I by at most ``tol`` relative, and
+    returns that pass's G(u).
+
+    Each pass starts conjugate gradients from the field u it was formed
+    from.  One ``SolveWorkspace``, dropped on return, keeps the multigrid
     transfers until a node is pinned, and the V-cycle while the lumped
     Robin diagonal stays within ``fem.REUSE_FACTOR`` of the one it was
     built for: the stiffness part of every pass is the same.  The report's
-    diagnostics carry the PCG iterations of all passes and the transfer and
-    V-cycle builds.
+    diagnostics carry the PCG iterations of all passes, the transfer and
+    V-cycle builds, and the accepted mixes (``accelerated``).
     """
     chain, b, fixed = _setup(mesh, m, data)
     K = stiffness(mesh)
     workspace = SolveWorkspace()
 
+    def energy(v):
+        s = boundary_l1(chain, v)
+        return 0.5 * float(v @ (K @ v)) + s * s / (2.0 * m) - float(b @ v), s
+
     gi_len = float(np.sum(chain.weights))
     weight = np.full(len(chain.nodes), gi_len / m)  # uniform thickness start
-    zero_nodes = chain.nodes[:0]
+    zero_mask = np.zeros(len(chain.nodes), dtype=bool)
     u = None
-    I_old = None
+    I_u = None
+    history = deque(maxlen=ANDERSON_DEPTH + 1)
+    accelerated = 0
     for it in range(1, max_iter + 1):
         # the weight is zero at the zero-constrained nodes
         M = lumped_boundary_diagonal(mesh, chain, weight)
         workspace.robin = M.diagonal()
-        u = solve_constrained(mesh, K + M, b,
-                              dirichlet_nodes(mesh, data, zero_nodes), tol=tol,
-                              start=u, workspace=workspace)
-        s = boundary_l1(chain, u)
-        I_new = 0.5 * float(u @ (K @ u)) + s * s / (2.0 * m) - float(b @ u)
-        if I_old is not None and abs(I_new - I_old) <= tol * (abs(I_new) + 1e-30):
-            return u, _report(
-                mesh, chain, u, m, data, iterations=it,
-                residual=abs(I_new - I_old), method="alternating",
+        g = solve_constrained(mesh, K + M, b,
+                              dirichlet_nodes(mesh, data,
+                                              chain.nodes[zero_mask]),
+                              tol=tol, start=u, workspace=workspace)
+        I_g, s_g = energy(g)
+        if I_u is not None and abs(I_g - I_u) <= tol * (abs(I_g) + 1e-30):
+            return g, _report(
+                mesh, chain, g, m, data, iterations=it,
+                residual=abs(I_g - I_u), method="alternating",
                 certified_residual=_certified_residual(K, b, fixed, chain, m,
-                                                       u),
-                **workspace.work())
-        I_old = I_new
+                                                       g),
+                accelerated=accelerated, **workspace.work())
+        if u is not None:
+            history.append((g, g - u))
+        u, I_u, s = g, I_g, s_g
+        if len(history) >= 2:
+            mix = _anderson_mix(history)
+            if mix is not None:
+                I_mix, s_mix = energy(mix)
+                if I_mix < I_g:
+                    u, I_u, s = mix, I_mix, s_mix
+                    accelerated += 1
         if s == 0.0:
             raise ZeroTrace(
                 "insulated trace vanished; optimal thickness is undefined")
         with np.errstate(divide="ignore", over="ignore"):
             weight = s / (m * np.abs(u[chain.nodes]))
-        zero_mask = ~np.isfinite(weight)
-        zero_nodes = chain.nodes[zero_mask]
+        pinned = ~np.isfinite(weight)
+        if not np.array_equal(pinned, zero_mask):
+            history.clear()
+        zero_mask = pinned
         weight[zero_mask] = 0.0
     raise NoConvergence(f"alternating minimization stalled after {max_iter} passes")
 
@@ -278,8 +325,11 @@ def _report(mesh, chain, u, m, data, iterations, residual, method, **extra):
 
 
 def solve_reduced(mesh, m, data, method="proxgrad", tol=1e-10, max_iter=None):
-    """Front end over the two reduced-problem algorithms."""
-    kw = {"max_iter": max_iter} if max_iter else {}
+    """Front end over the two reduced-problem algorithms; ``max_iter`` None
+    keeps each method's default."""
+    if max_iter is not None and max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    kw = {} if max_iter is None else {"max_iter": max_iter}
     if method == "proxgrad":
         return solve_reduced_proxgrad(mesh, m, data, tol=tol, **kw)
     if method == "alternating":

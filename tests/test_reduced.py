@@ -16,11 +16,16 @@ from insulopt.geometry import (
     build_transversal_field,
 )
 from insulopt.meshing import insulated_chain, triangulate_bulk
-from insulopt.reduced_solver import prox_squared_l1, solve_reduced
+from insulopt import reduced_solver
+from insulopt.reduced_solver import (
+    ANDERSON_DEPTH,
+    prox_squared_l1,
+    solve_reduced,
+)
 from insulopt.robin_solver import solve_limit
 from insulopt.thickness import reconstruct_distribution
 
-from conftest import LSHAPE, SQUARE, pseudo1d_setup
+from conftest import LSHAPE, NOTCHED, SQUARE, pseudo1d_setup
 
 
 # -- prox oracle -----------------------------------------------------------------
@@ -165,16 +170,19 @@ def test_double_min_identity_and_fixed_point():
 
 
 def test_alternating_overflowing_weight_becomes_zero_constraint(
-        lshape_all_insulated):
-    # at m = 0.5 parts of the trace decay toward 0 (|u_j| ~ 1e-296), where
-    # the weight s/(m|u_j|) overflows; such nodes must be pinned to zero
-    # instead of putting inf into the Robin matrix
+        lshape_all_insulated, monkeypatch):
+    # at m = 0.5 parts of the trace decay toward 0 (|u_j| ~ 1e-296 in the
+    # plain loop, which the Anderson-mixed loop stops before), where the
+    # weight s/(m|u_j|) overflows; such nodes must be pinned to zero instead
+    # of putting inf into the Robin matrix
+    monkeypatch.setattr(reduced_solver, "ANDERSON_DEPTH", 0)
     mesh = triangulate_bulk(lshape_all_insulated, 1 / 16)
     f = np.random.default_rng(0).uniform(0.5, 1.5, mesh.n_bulk_tris)
     data = ProblemData(f=f)
     with pytest.warns(NonUniqueWarning):
         _, rep_alt = solve_reduced(mesh, 0.5, data, method="alternating")
         _, rep_pg = solve_reduced(mesh, 0.5, data, method="proxgrad")
+    assert rep_alt.diagnostics["transfer_builds"] >= 2  # a node was pinned
     t = rep_alt.terms
     lhs = 2.0 * (t["grad"] + t["boundary_l1_sq"])
     rhs = t["source"] + t["neumann"]
@@ -184,7 +192,7 @@ def test_alternating_overflowing_weight_becomes_zero_constraint(
 
 @pytest.mark.parametrize("method", ["alternating", "proxgrad"])
 def test_reduced_setup_is_built_once(method, monkeypatch):
-    from insulopt import fem, reduced_solver
+    from insulopt import fem
 
     counts = {}  # (module, name) -> calls
     for name in ("assemble_load", "apply_dirichlet"):
@@ -227,14 +235,16 @@ def _lshape_draw(h, seed):
 
 
 @pytest.mark.filterwarnings("ignore::insulopt.errors.NonUniqueWarning")
-@pytest.mark.parametrize("h,m,seed,builds", [(1 / 64, 1.7, 3, 1),
-                                             (1 / 16, 0.5, 0, 2)],
+@pytest.mark.parametrize("h,m,seed,depth,builds",
+                         [(1 / 64, 1.7, 3, reduced_solver.ANDERSON_DEPTH, 1),
+                          (1 / 16, 0.5, 0, 0, 2)],
                          ids=["m1.7", "m0.5_pinned"])
-def test_warm_start_keeps_the_passes_and_the_energy(h, m, seed, builds,
+def test_warm_start_keeps_the_passes_and_the_energy(h, m, seed, depth, builds,
                                                     monkeypatch):
-    # at m = 0.5 nodes are pinned, so the free set changes between passes
-    from insulopt import reduced_solver
-
+    # the plain loop (no Anderson mixing) pins a node on the m = 0.5 draw, so
+    # the free set changes between passes; the mixed loop stops before any
+    # trace underflows there
+    monkeypatch.setattr(reduced_solver, "ANDERSON_DEPTH", depth)
     mesh, data = _lshape_draw(h, seed)
     _, warm = solve_reduced(mesh, m, data, method="alternating")
     original = reduced_solver.solve_constrained
@@ -251,19 +261,9 @@ def test_warm_start_keeps_the_passes_and_the_energy(h, m, seed, builds,
     assert w["pcg_iterations"] < 0.8 * c["pcg_iterations"]
 
 
-@pytest.mark.filterwarnings("ignore::insulopt.errors.NonUniqueWarning")
-@pytest.mark.parametrize("h,m,seed,passes,max_builds",
-                         [(1 / 64, 1.7, 3, 21, 3),
-                          (1 / 16, 0.5, 0, 257, 257),
-                          (1 / 16, 0.5, 4, 336, 336)],
-                         ids=["m1.7", "m0.5_rng0", "m0.5_rng4"])
-def test_kept_vcycle_keeps_the_passes_and_the_energy(h, m, seed, passes,
-                                                     max_builds, monkeypatch):
-    # at m = 0.5 the weights of decaying nodes grow ~3.4x per pass, beyond
-    # the factor 2, so nearly every pass rebuilds there
-    from insulopt import reduced_solver
-
-    mesh, data = _lshape_draw(h, seed)
+def _kept_and_fresh(mesh, m, data, monkeypatch):
+    """The alternating reports with the kept V-cycle and with a V-cycle
+    rebuilt on every pass."""
     _, kept = solve_reduced(mesh, m, data, method="alternating")
     original = reduced_solver.solve_constrained
 
@@ -271,12 +271,42 @@ def test_kept_vcycle_keeps_the_passes_and_the_energy(h, m, seed, passes,
         workspace.robin = None  # no diagonal to compare: always rebuild
         return original(*args, workspace=workspace, **kwargs)
 
-    monkeypatch.setattr(reduced_solver, "solve_constrained",
-                        rebuild_every_pass)
-    _, fresh = solve_reduced(mesh, m, data, method="alternating")
+    with monkeypatch.context() as patch:
+        patch.setattr(reduced_solver, "solve_constrained", rebuild_every_pass)
+        _, fresh = solve_reduced(mesh, m, data, method="alternating")
+    return kept, fresh
+
+
+@pytest.mark.filterwarnings("ignore::insulopt.errors.NonUniqueWarning")
+@pytest.mark.parametrize("h,m,seed,plain_passes,mixed_passes,max_builds",
+                         [(1 / 64, 1.7, 3, 21, 10, 3),
+                          (1 / 16, 0.5, 0, 257, 41, 257),
+                          (1 / 16, 0.5, 4, 336, 75, 336)],
+                         ids=["m1.7", "m0.5_rng0", "m0.5_rng4"])
+def test_kept_vcycle_keeps_the_passes_and_the_energy(h, m, seed, plain_passes,
+                                                     mixed_passes, max_builds,
+                                                     monkeypatch):
+    # at m = 0.5 the weights of decaying nodes grow ~3.4x per pass, beyond
+    # the factor 2, so nearly every pass rebuilds there
+    mesh, data = _lshape_draw(h, seed)
+    monkeypatch.setattr(reduced_solver, "ANDERSON_DEPTH", 0)
+    kept, fresh = _kept_and_fresh(mesh, m, data, monkeypatch)
     k, f = kept.diagnostics, fresh.diagnostics
-    assert k["iterations"] == f["iterations"] == f["vcycle_builds"] == passes
+    assert (k["iterations"] == f["iterations"] == f["vcycle_builds"]
+            == plain_passes)
     assert abs(kept.total - fresh.total) <= 1e-12 * abs(fresh.total)
+    assert k["vcycle_builds"] <= max_builds
+    assert k["pcg_iterations"] <= 1.1 * f["pcg_iterations"]
+    # the mixed loop: a late accepted mix can carry the rounding differences
+    # of the two V-cycles into the stopping field, so its energies are held
+    # to the plain loop's, which the energy safeguard keeps them below
+    plain = kept.total
+    monkeypatch.setattr(reduced_solver, "ANDERSON_DEPTH", ANDERSON_DEPTH)
+    kept, fresh = _kept_and_fresh(mesh, m, data, monkeypatch)
+    k, f = kept.diagnostics, fresh.diagnostics
+    assert (k["iterations"] == f["iterations"] == f["vcycle_builds"]
+            == mixed_passes)
+    assert max(kept.total, fresh.total) <= plain + 1e-10 * abs(plain)
     assert k["vcycle_builds"] <= max_builds
     assert k["pcg_iterations"] <= 1.1 * f["pcg_iterations"]
 
@@ -306,6 +336,8 @@ def test_transfers_are_built_once_per_free_set(monkeypatch):
     monkeypatch.setattr(fem, "apply_dirichlet", spy_dirichlet)
     monkeypatch.setattr(fem, "transfers", spy_transfers)
     monkeypatch.setattr(fem, "VCycle", spy_vcycle)
+    # the plain loop pins nodes on this draw (the mixed loop stops first)
+    monkeypatch.setattr(reduced_solver, "ANDERSON_DEPTH", 0)
     mesh, data = _lshape_draw(1 / 16, 0)
     _, rep = solve_reduced(mesh, 0.5, data, method="alternating")
     assert len(free_sets) == rep.diagnostics["iterations"]
@@ -319,6 +351,118 @@ def test_transfers_are_built_once_per_free_set(monkeypatch):
     assert set(mesh.stiffness_cache) == {None}
     gc.collect()
     assert all(ref() is None for ref in vcycles)
+
+
+# -- Anderson-mixed alternating passes ----------------------------------------------
+
+@pytest.mark.filterwarnings("ignore::insulopt.errors.NonUniqueWarning")
+@pytest.mark.parametrize("h,m,seed", [(1 / 64, 1.7, 3), (1 / 16, 0.5, 0)],
+                         ids=["m1.7", "m0.5"])
+def test_anderson_mixing_never_raises_the_energy(h, m, seed, monkeypatch):
+    mesh, data = _lshape_draw(h, seed)
+    tol = 1e-10
+    original = reduced_solver.solve_constrained
+    energies = []  # I of each pass's start field and of its Robin field
+
+    def spy(*args, start=None, **kwargs):
+        if start is not None:
+            energies.append(eval_I(mesh, start, m, data).total)
+        u = original(*args, start=start, **kwargs)
+        energies.append(eval_I(mesh, u, m, data).total)
+        return u
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reduced_solver, "ANDERSON_DEPTH", 0)
+        _, plain = solve_reduced(mesh, m, data, method="alternating", tol=tol)
+    monkeypatch.setattr(reduced_solver, "solve_constrained", spy)
+    _, mixed = solve_reduced(mesh, m, data, method="alternating", tol=tol)
+    p, x = plain.diagnostics, mixed.diagnostics
+    assert p["accelerated"] == 0 < x["accelerated"] <= x["iterations"]
+    # a kept mix lowers I below its Robin field's, a pass from it lowers I
+    # further (block descent), and a refused mix leaves the Robin field
+    assert len(energies) == 2 * x["iterations"] - 1
+    assert np.all(np.diff(energies) <= 1e-14 * np.abs(energies[1:]))
+    assert mixed.total <= plain.total + tol * abs(plain.total)
+    assert x["iterations"] <= 0.6 * p["iterations"]
+
+
+@pytest.mark.filterwarnings("ignore::insulopt.errors.NonUniqueWarning")
+def test_anderson_history_is_cleared_when_a_node_is_pinned(monkeypatch):
+    # from the fourth pass on one chain node's Robin field is set to exactly
+    # 0, so the node gets pinned once its mixed value is 0 as well; no mix
+    # may combine pairs solved with and without that pin
+    mesh, data = _lshape_draw(1 / 16, 0)
+    node = insulated_chain(mesh).nodes[5]
+    solve, mix = reduced_solver.solve_constrained, reduced_solver._anderson_mix
+    passes, histories = [], []
+
+    def vanishing(*args, **kwargs):
+        u = solve(*args, **kwargs)
+        passes.append(u)
+        if len(passes) >= 4:
+            u[node] = 0.0
+        return u
+
+    def spy_mix(history):
+        histories.append([f[node] for _, f in history])
+        return mix(history)
+
+    monkeypatch.setattr(reduced_solver, "solve_constrained", vanishing)
+    monkeypatch.setattr(reduced_solver, "_anderson_mix", spy_mix)
+    u, rep = solve_reduced(mesh, 1.0, data, method="alternating")
+    assert u[node] == 0.0 and rep.diagnostics["transfer_builds"] == 2
+    pinned = [all(r == 0.0 for r in h) for h in histories]
+    assert any(pinned) and not all(pinned)
+    assert all(p or not any(r == 0.0 for r in h)
+               for p, h in zip(pinned, histories))
+
+
+@settings(max_examples=20, deadline=None)
+@given(m=st.floats(1.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_mixed_alternating_matches_proxgrad(m, seed):
+    mesh, data = _lshape_draw(1 / 16, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonUniqueWarning)
+        _, pg = solve_reduced(mesh, m, data, method="proxgrad", tol=1e-10)
+        _, alt = solve_reduced(mesh, m, data, method="alternating", tol=1e-10)
+    assert abs(alt.total - pg.total) <= 1e-8 * abs(pg.total)
+    d = alt.diagnostics
+    assert d["accelerated"] <= d["iterations"]
+
+
+# -- the notched domain ---------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore::insulopt.errors.NonUniqueWarning")
+def test_alternating_on_the_notched_domain_all_insulated():
+    # part of the trace decays: the plain loop raised NoConvergence from the
+    # linear solve; the mixed loop returns close to the minimizer, but its
+    # certificate shows the stop is not certified there
+    mesh = triangulate_bulk(PolygonalDomain(NOTCHED, ["insulated"] * 6), 1 / 8)
+    data = ProblemData(f=1.0)
+    _, pg = solve_reduced(mesh, 1.3, data, method="proxgrad")
+    _, alt = solve_reduced(mesh, 1.3, data, method="alternating")
+    assert abs(alt.total - pg.total) <= 1e-8 * abs(pg.total)
+    assert alt.diagnostics["certified_residual"] == pytest.approx(1.41,
+                                                                  abs=0.01)
+
+
+def test_alternating_on_the_notched_domain_with_dirichlet_data():
+    # the Robin weights of the decaying trace leave the coarsest level of the
+    # V-cycle indefinite in floating point; the method says so
+    labels = ["insulated", "insulated", "dirichlet", "insulated", "insulated",
+              "neumann"]
+    mesh = triangulate_bulk(PolygonalDomain(NOTCHED, labels), 1 / 8)
+    data = ProblemData(f=1.0, g={5: -0.2}, u_D={2: 0.1})
+    with pytest.raises(NoConvergence, match="coarsest level"):
+        solve_reduced(mesh, 5.0, data, method="alternating")
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_solve_reduced_rejects_a_max_iter_below_one(max_iter):
+    _, _, mesh, data = pseudo1d_setup(h=1 / 8)
+    for method in ("proxgrad", "alternating"):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_reduced(mesh, 1.0, data, method=method, max_iter=max_iter)
 
 
 # -- gradient restart and the certified residual ----------------------------------
@@ -377,7 +521,6 @@ def test_proxgrad_iterations_do_not_depend_on_dirichlet_scale():
 def test_certified_residual_matches_the_eliminated_system():
     # proximal gradients certify on the eliminated system; the full-field
     # certificate of the alternating method must read the same value
-    from insulopt import reduced_solver
     from insulopt.fem import assemble_neumann, dirichlet_nodes, stiffness
 
     _, _, mesh, data = pseudo1d_setup(h=1 / 16)
