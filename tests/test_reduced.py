@@ -236,7 +236,7 @@ def _lshape_draw(h, seed):
 
 @pytest.mark.filterwarnings("ignore::insulopt.errors.NonUniqueWarning")
 @pytest.mark.parametrize("h,m,seed,depth,builds",
-                         [(1 / 64, 1.7, 3, reduced_solver.ANDERSON_DEPTH, 1),
+                         [(1 / 64, 1.7, 3, ANDERSON_DEPTH, 1),
                           (1 / 16, 0.5, 0, 0, 2)],
                          ids=["m1.7", "m0.5_pinned"])
 def test_warm_start_keeps_the_passes_and_the_energy(h, m, seed, depth, builds,
