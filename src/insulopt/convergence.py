@@ -109,8 +109,10 @@ def gamma_sweep(domain, field, dist, data, eps_list, h, n_t, tol=1e-10,
     triples for serialization.
     """
     eps_list = list(eps_list)
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])) or eps_list[-1] <= 0:
-        raise ValueError("eps_list must be positive and strictly decreasing")
+    if (not eps_list or eps_list[-1] <= 0
+            or any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:]))):
+        raise ValueError(
+            "eps_list must be nonempty, positive and strictly decreasing")
     bulk = triangulate_bulk(domain, h)
     u_lim, rep_lim = solve_limit(bulk, field, dist, data, tol=tol)
     e_lim = rep_lim.total

@@ -10,24 +10,30 @@ Meshes are immutable once built, so ``stiffness`` caches the unit-coefficient
 stiffness of each mesh (and of each region of a glued mesh) on the mesh at
 first use; every solver and energy evaluator shares those operators.
 
+The fixed nodes of a solve have one form: ``dirichlet_nodes`` returns a
+boolean node mask ``fixed`` and a ``lift``, the field holding u_D at the
+Dirichlet nodes and zero elsewhere.  It is built once per solve; a loop
+that pins more nodes to zero sets them in a copy of the mask, and the lift
+already holds their zero.
+
 Every linear solve of the three problems goes through ``solve_constrained``:
-the solver modules pass an operator, a right-hand side, the fixed
-node -> value map of ``dirichlet_nodes`` and a ``SolveWorkspace``.  That one
-path eliminates the fixed nodes, owns the preconditioner choice and runs
+the solver modules pass an operator, a right-hand side, the mask and the
+lift, and a ``SolveWorkspace``.  That one path eliminates the fixed nodes
+(``apply_dirichlet``), owns the preconditioner choice and runs
 ``solve_spd`` (preconditioned conjugate gradients): a multigrid V-cycle on
 meshes that carry their red-refinement hierarchy, which keeps the
 iteration count flat in h, and the Jacobi diagonal on other meshes.
 
 The workspace is created and dropped by the caller: a single solve
 (``solve_limit``, ``solve_eps``) makes a fresh one, and a sequence of solves
-on one mesh shares one.  It keeps the multigrid transfers of the last free
-set, rebuilt only when the free set changes, and the last V-cycle, and it
+on one mesh shares one.  It keeps the multigrid transfers of the last fixed
+mask, rebuilt only when the mask changes, and the last V-cycle, and it
 tallies the transfer builds, V-cycle builds and PCG iterations
 (``SolveWorkspace.work``), which the solvers report in their diagnostics.
 A sequence can also pass ``start``, a field on all nodes from which
 conjugate gradients start, for example the previous solution of a loop; its
-free entries are the initial iterate and the fixed map still decides the
-fixed ones.  Without it a solve starts from zero.
+free entries are the initial iterate and the lift still decides the fixed
+ones.  Without it a solve starts from zero.
 
 The V-cycle is kept by spectral equivalence.  When the operators of the
 sequence are A = K + W with one fixed K >= 0 and a nonnegative diagonal W
@@ -99,24 +105,6 @@ class EnergyReport:
     terms: dict
     total: float
     diagnostics: dict = dc_field(default_factory=dict)
-
-
-@dataclass
-class ReducedSystem:
-    """Symmetric elimination of Dirichlet constraints."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    free: np.ndarray
-    fixed: np.ndarray
-    fixed_values: np.ndarray
-    n: int
-
-    def expand(self, x_free):
-        u = np.zeros(self.n)
-        u[self.free] = x_free
-        u[self.fixed] = self.fixed_values
-        return u
 
 
 def _tri_geometry(mesh):
@@ -268,48 +256,32 @@ def lumped_boundary_diagonal(mesh, chain, nodal_weight):
     return sp.diags(diag).tocsr()
 
 
-def split_dirichlet(n, fixed_values):
-    """Split ``n`` nodes by the node -> value map ``fixed_values``: the
-    free nodes, the sorted fixed nodes, and the lift, the field holding the
-    values at the fixed nodes and zero elsewhere."""
-    fixed = np.array(sorted(fixed_values), dtype=int)
-    lift = np.zeros(n)
-    lift[fixed] = [fixed_values[i] for i in fixed]
-    mask = np.ones(n, bool)
-    mask[fixed] = False
-    return np.flatnonzero(mask), fixed, lift
-
-
-def apply_dirichlet(A, b, fixed_values):
-    """Symmetric elimination; ``fixed_values`` maps node -> value.  With
-    nothing fixed the system is ``A`` and ``b`` themselves."""
-    n = A.shape[0]
-    free, fixed, lift = split_dirichlet(n, fixed_values)
-    vals = lift[fixed]
-    if not len(fixed):
-        return ReducedSystem(matrix=A, rhs=b, free=free, fixed=fixed,
-                             fixed_values=vals, n=n)
+def apply_dirichlet(A, b, fixed, lift):
+    """Symmetric elimination of the nodes of the mask ``fixed`` at the
+    values of ``lift``: returns (A_FF, b_F - A_FX lift_X) on the free nodes
+    F, or ``A`` and ``b`` themselves when nothing is fixed."""
+    if not fixed.any():
+        return A, b
+    free, at = np.flatnonzero(~fixed), np.flatnonzero(fixed)
     A_f = A[free]
-    return ReducedSystem(matrix=A_f[:, free].tocsr(),
-                         rhs=b[free] - A_f[:, fixed] @ vals, free=free,
-                         fixed=fixed, fixed_values=vals, n=n)
+    return A_f[:, free].tocsr(), b[free] - A_f[:, at] @ lift[at]
 
 
 class SolveWorkspace:
     """State of one solve, or of a sequence of solves on one mesh, owned by
-    the caller for that long: the multigrid transfers of the last free set,
+    the caller for that long: the multigrid transfers of the last fixed set,
     the last V-cycle with the diagonal ``robin`` it was built for, and the
     transfer builds, V-cycle builds and PCG iterations made so far.
 
     In a sequence, the caller sets ``robin`` before each solve to the
     diagonal W (on all nodes) of the operator K + W, where K is the same in
-    every solve.  The V-cycle is rebuilt when the free set changes, when
+    every solve.  The V-cycle is rebuilt when the fixed set changes, when
     ``robin`` is None (as in a fresh workspace), or when W leaves
     [Wbar / REUSE_FACTOR, REUSE_FACTOR Wbar] somewhere.
     """
 
     def __init__(self):
-        self.free = None
+        self.fixed = None
         self.levels = None
         self.robin = None
         self.vcycle = None
@@ -318,15 +290,15 @@ class SolveWorkspace:
         self.vcycle_builds = 0
         self.pcg_iterations = 0
 
-    def preconditioner(self, mesh, A, free):
-        """V-cycle for ``A`` on the ``free`` nodes of ``mesh``, or None
-        without a hierarchy; kept from the last call while its free set is
-        unchanged and ``robin`` is spectrally equivalent to the one it was
-        built for."""
-        if not mesh.hierarchy or not len(free):
+    def preconditioner(self, mesh, A, fixed):
+        """V-cycle for ``A`` on the nodes of ``mesh`` outside the mask
+        ``fixed``, or None without a hierarchy; kept from the last call
+        while its fixed set is unchanged and ``robin`` is spectrally
+        equivalent to the one it was built for."""
+        if not mesh.hierarchy or fixed.all():
             return None
-        if self.free is None or not np.array_equal(self.free, free):
-            self.free, self.levels = free, transfers(mesh, free)
+        if self.fixed is None or not np.array_equal(self.fixed, fixed):
+            self.fixed, self.levels = fixed, transfers(mesh, fixed)
             self.transfer_builds += 1
             self.vcycle = None
         W, built = self.robin, self.vcycle_robin
@@ -348,10 +320,10 @@ class SolveWorkspace:
                 "vcycle_builds": self.vcycle_builds}
 
 
-def solve_constrained(mesh, A, b, fixed, workspace, tol=1e-10, max_iter=None,
-                      start=None):
-    """Solve the SPD system ``A u = b`` on ``mesh`` with u fixed at the
-    nodes of the node -> value map ``fixed``; returns u on all nodes.
+def solve_constrained(mesh, A, b, fixed, lift, workspace, tol=1e-10,
+                      max_iter=None, start=None):
+    """Solve the SPD system ``A u = b`` on ``mesh`` with u = ``lift`` at the
+    nodes of the mask ``fixed``; returns u on all nodes.
 
     The one solve path of the package: the V-cycle of the mesh hierarchy,
     supplied by the ``SolveWorkspace``, preconditions the conjugate
@@ -359,13 +331,13 @@ def solve_constrained(mesh, A, b, fixed, workspace, tol=1e-10, max_iter=None,
     workspace counts the iterations.  PCG starts from the free entries of
     the field ``start`` when given, from zero otherwise.
     """
-    sys = apply_dirichlet(A, b, fixed)
-    x = solve_spd(sys.matrix, sys.rhs, tol=tol, max_iter=max_iter,
-                  precond=workspace.preconditioner(mesh, sys.matrix,
-                                                   sys.free),
-                  x0=None if start is None else start[sys.free],
-                  callback=workspace.count_iteration)
-    return sys.expand(x)
+    A_FF, b_F = apply_dirichlet(A, b, fixed, lift)
+    u = lift.copy()
+    u[~fixed] = solve_spd(A_FF, b_F, tol=tol, max_iter=max_iter,
+                          precond=workspace.preconditioner(mesh, A_FF, fixed),
+                          x0=None if start is None else start[~fixed],
+                          callback=workspace.count_iteration)
+    return u
 
 
 def solve_spd(A, b, tol=1e-10, max_iter=None, precond=None, x0=None,
@@ -380,12 +352,16 @@ def solve_spd(A, b, tol=1e-10, max_iter=None, precond=None, x0=None,
     The updated residual of the recurrence drifts from b - A x by rounding
     in proportion to the iterates, so when it meets ``tol`` the true
     residual is formed once, and the iteration restarts from it when it
-    does not meet ``tol``.
+    does not meet ``tol``.  Raises NoConvergence after ``max_iter``
+    iterations (10 n when None).
     """
+    if max_iter is not None and max_iter < 1:
+        raise ValueError("max_iter must be positive")
     n = len(b)
     if n == 0:
         return np.zeros(0)
-    max_iter = max_iter or 10 * n
+    if max_iter is None:
+        max_iter = 10 * n
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n)
@@ -537,12 +513,15 @@ def eval_I(mesh, u, m, data, chain=None):
 
 
 def dirichlet_nodes(mesh, data, zero_nodes=()):
-    """Fixed node -> value map of a solve: u_D on the Dirichlet facets (the
-    later edge wins at a shared corner), zero on the outer layer boundary of
-    a glued mesh and at ``zero_nodes``; a Dirichlet value wins over a zero."""
-    top = np.unique(mesh.marker_edges(LAYER_TOP))
-    fixed = dict.fromkeys([*np.asarray(zero_nodes).tolist(), *top.tolist()],
-                          0.0)
+    """Fixed nodes of a solve as (mask, lift): u_D on the Dirichlet facets
+    (the later edge wins at a shared corner), zero on the outer layer
+    boundary of a glued mesh and at ``zero_nodes``; a Dirichlet value wins
+    over a zero.  The lift holds those values and zero elsewhere."""
+    n = len(mesh.nodes)
+    fixed, lift = np.zeros(n, dtype=bool), np.zeros(n)
+    fixed[np.asarray(zero_nodes, dtype=int)] = True
+    fixed[mesh.marker_edges(LAYER_TOP)] = True
     for a, b, fid in mesh.boundary_edges_of(FacetLabel.DIRICHLET).tolist():
-        fixed[a] = fixed[b] = data.facet_value(data.u_D, fid)
-    return fixed
+        fixed[a] = fixed[b] = True
+        lift[a] = lift[b] = data.facet_value(data.u_D, fid)
+    return fixed, lift

@@ -45,7 +45,7 @@ def solve_eps(mesh, eps, data, tol=1e-10, max_iter=None, load=None):
     b = load + assemble_neumann(mesh, data)
     # read the work and drop the workspace's V-cycle before the energies
     workspace = SolveWorkspace()
-    u = solve_constrained(mesh, A, b, dirichlet_nodes(mesh, data), tol=tol,
+    u = solve_constrained(mesh, A, b, *dirichlet_nodes(mesh, data), tol=tol,
                           max_iter=max_iter, workspace=workspace)
     work = workspace.work()
     del workspace

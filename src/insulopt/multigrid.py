@@ -18,10 +18,10 @@ from fine to coarse, each level has:
 Coarsening stops at COARSE_SIZE unknowns, which are solved densely.
 
 The build has two halves.  ``transfers`` depends only on the mesh and the
-free set: the restricted P and R = P^T of each level.  ``VCycle`` takes
+fixed mask: the restricted P and R = P^T of each level.  ``VCycle`` takes
 them and forms the operator half: the Galerkin products, the Jacobi weights
 and the coarse Cholesky factor.  Every solve gets its V-cycle from a
-``fem.SolveWorkspace``, which builds the transfers once per free set and,
+``fem.SolveWorkspace``, which builds the transfers once per fixed mask and,
 over a sequence of operators on one free set, keeps a whole V-cycle while
 its operators stay spectrally equivalent to the one it was built for: when
 Abar / 2 <= A <= 2 Abar, a V-cycle B for Abar gives
@@ -82,12 +82,11 @@ def prolongation(free, n_coarse, rows, cols, weights):
     return sp.csr_matrix((v, (r, c)), shape=(int(at[-1]) + 1, n_free_coarse))
 
 
-def transfers(mesh, free):
+def transfers(mesh, fixed):
     """Restricted prolongations and restrictions (P, R = P^T) of the levels
-    of ``mesh`` for the ``free`` nodes, fine to coarse, down to COARSE_SIZE
-    free unknowns."""
-    mask = np.zeros(len(mesh.nodes), dtype=bool)
-    mask[free] = True
+    of ``mesh`` for the nodes outside the mask ``fixed``, fine to coarse,
+    down to COARSE_SIZE free unknowns."""
+    mask = ~fixed
     levels = []
     n_free = int(np.count_nonzero(mask))
     for n_coarse, rows, cols, weights in stencils(mesh):

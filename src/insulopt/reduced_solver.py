@@ -28,7 +28,6 @@ from .fem import (
     lumped_boundary_diagonal,
     solve_constrained,
     solve_spd,  # noqa: F401  bound here for perfbench's tracer self-test
-    split_dirichlet,
     stiffness,
 )
 from .meshing import insulated_chain
@@ -105,27 +104,25 @@ def estimate_spectral_norm(A, iterations=POWER_ITERATIONS):
 
 def _setup(mesh, m, data):
     """The insulated chain, the load vector (source plus Neumann flux) and
-    the Dirichlet node -> value map shared by both reduced methods."""
+    the Dirichlet mask and lift shared by both reduced methods."""
     data.validate(mesh.domain)
     if m <= 0:
         raise ValueError("mass must be positive")
     b = assemble_load(mesh, data.f) + assemble_neumann(mesh, data)
-    fixed = dirichlet_nodes(mesh, data)
-    if not fixed:
+    fixed, lift = dirichlet_nodes(mesh, data)
+    if not fixed.any():
         warnings.warn(
             "no Dirichlet part: uniqueness of the reduced minimizer relies "
             "on the connectivity of the domain", NonUniqueWarning)
-    return insulated_chain(mesh), b, fixed
+    return insulated_chain(mesh), b, fixed, lift
 
 
-def _prox_workspace(chain, free, lift, m):
-    """Chain nodes among the ``free`` unknowns with their weights; the
-    other chain nodes enter through the constant ``fixed_offset`` of the
-    ``lift``, the field that is zero on the free unknowns."""
-    pos = np.full(len(lift), -1)
-    pos[free] = np.arange(len(free))
-    at = pos[chain.nodes]
-    keep = at >= 0
+def _prox_workspace(chain, fixed, lift, m):
+    """Chain nodes among the unknowns outside the mask ``fixed``, numbered
+    in node order, with their weights; the fixed chain nodes enter through
+    the constant ``fixed_offset`` of the ``lift``."""
+    at = (np.cumsum(~fixed) - 1)[chain.nodes]
+    keep = ~fixed[chain.nodes]
     offset = chain.weights[~keep] * np.abs(lift[chain.nodes[~keep]])
     return ProxWorkspace(nodes=at[keep], weights=chain.weights[keep], mass=m,
                          fixed_offset=float(np.sum(offset)))
@@ -145,12 +142,12 @@ def _subgradient_residual(g, ws, x):
     return float(np.linalg.norm(g + xi))
 
 
-def _certified_residual(K, b, fixed, chain, m, u):
+def _certified_residual(K, b, fixed, lift, chain, m, u):
     """``_subgradient_residual`` / |b_F| of the full field ``u``, read from
-    K u - b on the nodes F outside the Dirichlet map ``fixed`` without
+    K u - b on the nodes F outside the Dirichlet mask ``fixed`` without
     forming the eliminated system."""
-    free, _, lift = split_dirichlet(len(u), fixed)
-    ws = _prox_workspace(chain, free, lift, m)
+    free = ~fixed
+    ws = _prox_workspace(chain, fixed, lift, m)
     res = _subgradient_residual((K @ u - b)[free], ws, u[free])
     bnorm = float(np.linalg.norm((b - K @ lift)[free]))
     return res / bnorm if bnorm > 0.0 else res
@@ -165,21 +162,20 @@ def solve_reduced_proxgrad(mesh, m, data, tol=1e-10, max_iter=200_000):
     schemes", 2015).  The test needs no objective value, so one step costs
     one matrix-vector product and one proximal map.
     """
-    chain, b, fixed = _setup(mesh, m, data)
-    sys = apply_dirichlet(stiffness(mesh), b, fixed)
-    ws = _prox_workspace(chain, sys.free, sys.expand(np.zeros(len(sys.free))),
-                         m)
-    bnorm = float(np.linalg.norm(sys.rhs))
+    chain, b, fixed, lift = _setup(mesh, m, data)
+    A, b_F = apply_dirichlet(stiffness(mesh), b, fixed, lift)
+    ws = _prox_workspace(chain, fixed, lift, m)
+    bnorm = float(np.linalg.norm(b_F))
+    u = lift.copy()
     if bnorm == 0.0:
-        u = sys.expand(np.zeros(len(sys.rhs)))
         return u, _report(mesh, chain, u, m, data, iterations=0, residual=0.0,
                           method="proxgrad", certified_residual=0.0,
                           restarts=0)
-    L = estimate_spectral_norm(sys.matrix)
+    L = estimate_spectral_norm(A)
     step = 1.0 / (1.001 * L)  # power iteration underestimates the norm
 
     def forward(xin):
-        return xin - step * (sys.matrix @ xin - sys.rhs)
+        return xin - step * (A @ xin - b_F)
 
     def prox(zin):
         out = zin.copy()
@@ -188,7 +184,7 @@ def solve_reduced_proxgrad(mesh, m, data, tol=1e-10, max_iter=200_000):
         out[ws.nodes] = vg
         return out
 
-    x = prox(forward(np.zeros(len(sys.rhs))))
+    x = prox(forward(np.zeros(len(b_F))))
     y = x
     t = 1.0
     restarts = 0
@@ -204,13 +200,13 @@ def solve_reduced_proxgrad(mesh, m, data, tol=1e-10, max_iter=200_000):
             t = t_next
         x = x_new
         if it % 5 == 0 or it == 1:
-            res = _subgradient_residual(sys.matrix @ x - sys.rhs, ws, x)
+            res = _subgradient_residual(A @ x - b_F, ws, x)
             if res <= tol * bnorm:
                 break
     else:
         raise NoConvergence(
             f"proximal gradient did not certify {tol:g}*|b| in {max_iter} steps")
-    u = sys.expand(x)
+    u[~fixed] = x
     return u, _report(mesh, chain, u, m, data, iterations=it,
                       residual=res / bnorm, method="proxgrad",
                       certified_residual=res / bnorm, restarts=restarts)
@@ -259,7 +255,7 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
     diagnostics carry the PCG iterations of all passes, the transfer and
     V-cycle builds, and the accepted mixes (``accelerated``).
     """
-    chain, b, fixed = _setup(mesh, m, data)
+    chain, b, fixed, lift = _setup(mesh, m, data)
     K = stiffness(mesh)
     workspace = SolveWorkspace()
 
@@ -278,17 +274,17 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
         # the weight is zero at the zero-constrained nodes
         M = lumped_boundary_diagonal(mesh, chain, weight)
         workspace.robin = M.diagonal()
-        g = solve_constrained(mesh, K + M, b,
-                              dirichlet_nodes(mesh, data,
-                                              chain.nodes[zero_mask]),
-                              tol=tol, start=u, workspace=workspace)
+        pinned = fixed.copy()
+        pinned[chain.nodes[zero_mask]] = True
+        g = solve_constrained(mesh, K + M, b, pinned, lift, tol=tol, start=u,
+                              workspace=workspace)
         I_g, s_g = energy(g)
         if I_u is not None and abs(I_g - I_u) <= tol * (abs(I_g) + 1e-30):
             return g, _report(
                 mesh, chain, g, m, data, iterations=it,
                 residual=abs(I_g - I_u), method="alternating",
-                certified_residual=_certified_residual(K, b, fixed, chain, m,
-                                                       g),
+                certified_residual=_certified_residual(K, b, fixed, lift,
+                                                       chain, m, g),
                 accelerated=accelerated, **workspace.work())
         if u is not None:
             history.append((g, g - u))
@@ -305,10 +301,10 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
                 "insulated trace vanished; optimal thickness is undefined")
         with np.errstate(divide="ignore", over="ignore"):
             weight = s / (m * np.abs(u[chain.nodes]))
-        pinned = ~np.isfinite(weight)
-        if not np.array_equal(pinned, zero_mask):
+        unbounded = ~np.isfinite(weight)
+        if not np.array_equal(unbounded, zero_mask):
             history.clear()
-        zero_mask = pinned
+        zero_mask = unbounded
         weight[zero_mask] = 0.0
     raise NoConvergence(f"alternating minimization stalled after {max_iter} passes")
 

@@ -63,7 +63,7 @@ def solve_limit(mesh, field, dist, data, tol=1e-10, max_iter=None,
     b = load + assemble_neumann(mesh, data)
     # read the work and drop the workspace's V-cycle before the energies
     workspace = SolveWorkspace()
-    u = solve_constrained(mesh, A, b, dirichlet_nodes(mesh, data, zero_nodes),
+    u = solve_constrained(mesh, A, b, *dirichlet_nodes(mesh, data, zero_nodes),
                           tol=tol, max_iter=max_iter, workspace=workspace)
     work = workspace.work()
     del workspace

@@ -95,8 +95,9 @@ def test_gamma_sweep_assembles_one_load_per_mesh(monkeypatch):
 def test_gamma_sweep_rejects_nondecreasing_eps():
     domain, field, mesh, data = pseudo1d_setup(h=0.25)
     dist = InsulationDistribution.constant(field, 1.0)
-    with pytest.raises(ValueError):
-        gamma_sweep(domain, field, dist, data, [0.1, 0.2], h=0.25, n_t=2)
+    for eps_list in ([0.1, 0.2], []):
+        with pytest.raises(ValueError):
+            gamma_sweep(domain, field, dist, data, eps_list, h=0.25, n_t=2)
 
 
 def test_gamma_sweep_noninjective_eps_propagates():

@@ -151,19 +151,18 @@ def test_dirichlet_elimination_zero_value_keeps_rhs():
     mesh = unit_right_triangle_mesh()
     K = assemble_stiffness(mesh, 1.0)
     b = np.array([1.0, 2.0, 3.0])
-    sys = apply_dirichlet(K, b, {0: 0.0})
-    assert np.allclose(sys.rhs, b[sys.free], atol=0)
-    assert list(sys.free) == [1, 2]
+    A_FF, b_F = apply_dirichlet(K, b, np.array([True, False, False]),
+                                np.zeros(3))
+    assert np.allclose(b_F, b[[1, 2]], atol=0)
+    assert np.array_equal(A_FF.toarray(), K.toarray()[1:, 1:])
 
 
 def test_dirichlet_elimination_without_fixed_nodes_keeps_the_system():
     mesh = unit_right_triangle_mesh()
     K = assemble_stiffness(mesh, 1.0)
     b = np.array([1.0, 2.0, 3.0])
-    sys = apply_dirichlet(K, b, {})
-    assert sys.matrix is K and sys.rhs is b
-    assert list(sys.free) == [0, 1, 2] and len(sys.fixed) == 0
-    assert np.array_equal(sys.expand(b), b)
+    A_FF, b_F = apply_dirichlet(K, b, np.zeros(3, dtype=bool), np.zeros(3))
+    assert A_FF is K and b_F is b
 
 
 def test_dirichlet_value_beats_a_zero():
@@ -176,17 +175,87 @@ def test_dirichlet_value_beats_a_zero():
     glued = extrude_layer(mesh, field, InsulationDistribution.constant(
         field, 0.0), eps=0.1, n_t=2)
     data = ProblemData(u_D=0.7)
-    dirichlet = dirichlet_nodes(mesh, data)
-    assert set(dirichlet.values()) == {0.7}
-    top = np.unique(glued.marker_edges(LAYER_TOP)).tolist()
+    dirichlet, d_lift = dirichlet_nodes(mesh, data)
+    assert set(d_lift[dirichlet]) == {0.7}
+    assert not d_lift[~dirichlet].any()
+    dirichlet = np.flatnonzero(dirichlet)
+    top = np.unique(glued.marker_edges(LAYER_TOP))
     corner = int(np.flatnonzero(np.all(mesh.nodes == (1.0, 0.0), axis=1))[0])
     assert corner in dirichlet and corner in top
     interior = int(np.flatnonzero(np.all(mesh.nodes == (0.5, 0.5), axis=1))[0])
-    fixed = dirichlet_nodes(glued, data, zero_nodes=np.array([corner, interior]))
-    assert fixed == {**dict.fromkeys(top, 0.0), interior: 0.0, **dirichlet}
-    assert fixed[corner] == 0.7
-    assert dirichlet_nodes(glued, data, zero_nodes=[]) == {
-        **dict.fromkeys(top, 0.0), **dirichlet}
+    fixed, lift = dirichlet_nodes(glued, data,
+                                  zero_nodes=np.array([corner, interior]))
+    assert np.array_equal(np.flatnonzero(fixed),
+                          np.union1d(np.union1d(top, dirichlet), [interior]))
+    expected = np.zeros(len(glued.nodes))
+    expected[dirichlet] = 0.7
+    assert np.array_equal(lift, expected)
+    assert lift[corner] == 0.7
+    fixed, lift = dirichlet_nodes(glued, data, zero_nodes=[])
+    assert np.array_equal(np.flatnonzero(fixed), np.union1d(top, dirichlet))
+    assert np.array_equal(lift, expected)
+
+
+def per_edge_fixed_values(mesh, data, zero_nodes):
+    """The fixed node -> value map by a plain loop: the zeros of
+    ``zero_nodes`` and the outer layer boundary first, then the Dirichlet
+    edges in mesh order, so the later edge wins at a corner."""
+    values = {int(nd): 0.0 for nd in zero_nodes}
+    labels = [f.label for f in mesh.domain.facets]
+    for (a, b), fid in zip(mesh.boundary_edges.tolist(),
+                           mesh.boundary_facet.tolist()):
+        if fid == LAYER_TOP:
+            values.setdefault(a, 0.0)
+            values.setdefault(b, 0.0)
+    for (a, b), fid in zip(mesh.boundary_edges.tolist(),
+                           mesh.boundary_facet.tolist()):
+        if fid >= 0 and labels[fid] is FacetLabel.DIRICHLET:
+            values[a] = values[b] = data.u_D[fid]
+    return values
+
+
+@settings(max_examples=30, deadline=None)
+@given(vertices=st.sampled_from([SQUARE, LSHAPE]), glued=st.booleans(),
+       frac=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_fixed_set_matches_a_per_edge_loop_and_holds_in_the_solve(
+        vertices, glued, frac, seed, data):
+    n = len(vertices)
+    labels = data.draw(
+        st.lists(st.sampled_from(["insulated", "neumann", "dirichlet"]),
+                 min_size=n, max_size=n).filter(lambda ls: "insulated" in ls))
+    domain = PolygonalDomain(vertices, labels)
+    field = build_transversal_field(domain, "bisector")
+    mesh = triangulate_bulk(domain, 1 / 16)
+    rng = np.random.default_rng(seed)
+    if glued:
+        dist = InsulationDistribution.from_arc_samples(
+            field, np.arange(8) * domain.perimeter / 8,
+            rng.uniform(0.5, 1.5, 8))
+        mesh = extrude_layer(mesh, field, dist, eps=1 / 16, n_t=2)
+    pdata = ProblemData(u_D={i: float(rng.uniform(-1.0, 2.0))
+                             for i in domain.facet_ids(FacetLabel.DIRICHLET)})
+    n_nodes = len(mesh.nodes)
+    # unsorted, with repeats
+    zero_nodes = rng.choice(n_nodes, size=int(frac * n_nodes))
+    fixed, lift = dirichlet_nodes(mesh, pdata, zero_nodes=zero_nodes)
+    values = per_edge_fixed_values(mesh, pdata, zero_nodes)
+    assert fixed.dtype == bool and fixed.shape == lift.shape == (n_nodes,)
+    assert sorted(np.flatnonzero(fixed).tolist()) == sorted(values)
+    expected = np.zeros(n_nodes)
+    expected[list(values)] = list(values.values())
+    assert np.array_equal(lift, expected)
+
+    A = (stiffness(mesh) + fem.assemble_mass(mesh)).tocsr()
+    b = rng.uniform(-1.0, 1.0, n_nodes)
+    tol = 1e-10
+    u = fem.solve_constrained(mesh, A, b, fixed, lift, fem.SolveWorkspace(),
+                              tol=tol)
+    assert np.array_equal(u[fixed], lift[fixed])
+    free = ~fixed
+    b_F = (b - A @ lift)[free]
+    assert (np.linalg.norm((b - A @ u)[free])
+            <= tol * np.linalg.norm(b_F))
 
 
 def test_solve_identity():
@@ -236,10 +305,10 @@ def test_galerkin_residual_of_robin_solve():
 
     A, _ = robin_operator(mesh, field, dist)
     b = assemble_load(mesh, data.f) + assemble_neumann(mesh, data)
-    sys = apply_dirichlet(A, b, dirichlet_nodes(mesh, data))
-    x = solve_spd(sys.matrix, sys.rhs, tol=1e-11)
-    res = np.linalg.norm(sys.matrix @ x - sys.rhs)
-    assert res <= 1e-11 * np.linalg.norm(sys.rhs)
+    A_FF, b_F = apply_dirichlet(A, b, *dirichlet_nodes(mesh, data))
+    x = solve_spd(A_FF, b_F, tol=1e-11)
+    res = np.linalg.norm(A_FF @ x - b_F)
+    assert res <= 1e-11 * np.linalg.norm(b_F)
 
 
 def test_energy_monotone_under_refinement():

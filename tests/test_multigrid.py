@@ -90,8 +90,9 @@ def test_mesh_without_hierarchy_keeps_jacobi():
     field, dist, _ = lshape(1 / 8)
     mesh = triangulate_bulk(field.domain, 10.0)  # ear clipping only
     assert mesh.hierarchy == ()
-    free = np.arange(len(mesh.nodes))
-    assert SolveWorkspace().preconditioner(mesh, stiffness(mesh), free) is None
+    fixed = np.zeros(len(mesh.nodes), dtype=bool)
+    assert SolveWorkspace().preconditioner(mesh, stiffness(mesh),
+                                           fixed) is None
     data = ProblemData(f=1.0)
     glued = extrude_layer(mesh, field, dist, 0.05, n_t=2)
     for _, rep in (solve_limit(mesh, field, dist, data),
@@ -136,30 +137,34 @@ def test_thin_layer_solve_converges_in_few_iterations(h, scale):
 def random_system(h, glued, frac, rng):
     """Robin operator of a bulk mesh, or thin-layer operator of a glued
     mesh at eps = h, with a random per-triangle load and a random fraction
-    ``frac`` of the nodes fixed to random values; returns (mesh, system)."""
+    ``frac`` of the nodes fixed to random values; returns (mesh, fixed
+    mask, A_FF, b_F)."""
     field, dist, mesh = lshape(h)
     if glued:
         mesh = extrude_layer(mesh, field, dist, h, n_t=3)
         A = stiffness(mesh, BULK) + h * stiffness(mesh, LAYER)
     else:
         A = robin_operator(mesh, field, dist)[0]
-    fixed = dirichlet_nodes(mesh, ProblemData())
+    fixed, lift = dirichlet_nodes(mesh, ProblemData())
     b = assemble_load(mesh, rng.uniform(-1.0, 2.0, mesh.n_bulk_tris))
-    for nd in np.flatnonzero(rng.random(len(mesh.nodes)) < frac):
-        fixed.setdefault(int(nd), float(rng.uniform(-1.0, 1.0)))
-    return mesh, apply_dirichlet(A, b, fixed)
+    picked = np.flatnonzero(rng.random(len(mesh.nodes)) < frac)
+    values = rng.uniform(-1.0, 1.0, len(picked))
+    new = ~fixed[picked]
+    lift[picked[new]] = values[new]
+    fixed[picked] = True
+    return mesh, fixed, *apply_dirichlet(A, b, fixed, lift)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), frac=st.floats(0.0, 0.3),
        glued=st.booleans())
 def test_multigrid_and_jacobi_agree(seed, frac, glued):
-    mesh, sys = random_system(1 / 32, glued, frac,
-                              np.random.default_rng(seed))
-    x_jacobi = solve_spd(sys.matrix, sys.rhs, tol=1e-12)
-    mg = VCycle(sys.matrix, transfers(mesh, sys.free))
+    mesh, fixed, A, b = random_system(1 / 32, glued, frac,
+                                      np.random.default_rng(seed))
+    x_jacobi = solve_spd(A, b, tol=1e-12)
+    mg = VCycle(A, transfers(mesh, fixed))
     assert mg.levels
-    x_mg = solve_spd(sys.matrix, sys.rhs, tol=1e-12, precond=mg)
+    x_mg = solve_spd(A, b, tol=1e-12, precond=mg)
     assert (np.linalg.norm(x_mg - x_jacobi)
             <= 1e-8 * np.linalg.norm(x_jacobi))
 
@@ -167,16 +172,16 @@ def test_multigrid_and_jacobi_agree(seed, frac, glued):
 @pytest.mark.parametrize("glued", [False, True])
 def test_exact_start_needs_no_preconditioner(glued):
     rng = np.random.default_rng(1)
-    mesh, sys = random_system(1 / 32, glued, 0.1, rng)
-    x = rng.standard_normal(len(sys.rhs))
-    mg = VCycle(sys.matrix, transfers(mesh, sys.free))
+    mesh, fixed, A, b = random_system(1 / 32, glued, 0.1, rng)
+    x = rng.standard_normal(len(b))
+    mg = VCycle(A, transfers(mesh, fixed))
     applied = []
 
     def counting(r):
         applied.append(r)
         return mg(r)
 
-    out = solve_spd(sys.matrix, sys.matrix @ x, precond=counting, x0=x)
+    out = solve_spd(A, A @ x, precond=counting, x0=x)
     assert applied == []
     assert np.array_equal(out, x)
 
@@ -187,9 +192,9 @@ def test_exact_start_needs_no_preconditioner(glued):
 def test_random_start_reaches_the_zero_start_solution(seed, frac, glued,
                                                       scale):
     rng = np.random.default_rng(seed)
-    mesh, sys = random_system(1 / 32, glued, frac, rng)
-    A, b, tol = sys.matrix, sys.rhs, 1e-10
-    mg = VCycle(A, transfers(mesh, sys.free))
+    mesh, fixed, A, b = random_system(1 / 32, glued, frac, rng)
+    tol = 1e-10
+    mg = VCycle(A, transfers(mesh, fixed))
     x_zero = solve_spd(A, b, tol=tol, precond=mg)
     # sized on the solution; at 1e3 the updated residual meets tol while
     # the true one does not, and the iteration restarts from the true one
@@ -206,52 +211,52 @@ def test_random_start_reaches_the_zero_start_solution(seed, frac, glued,
 def test_kept_vcycle_serves_a_spectrally_equivalent_operator(seed, frac,
                                                             glued, within):
     rng = np.random.default_rng(seed)
-    mesh, sys = random_system(1 / 32, glued, frac, rng)
-    n, tol = len(sys.rhs), 1e-10
+    mesh, fixed, A_FF, b = random_system(1 / 32, glued, frac, rng)
+    n, tol = len(b), 1e-10
     # a diagonal W on about a tenth of the unknowns, 1e-2 to 1e2 times the
     # system's own diagonal, and a new one within a factor 2 of it, or
     # beyond it at one unknown
     on = rng.random(n) < 0.1
     on[rng.integers(n)] = True
-    built = np.where(on, sys.matrix.diagonal() * 10.0 ** rng.uniform(-2, 2, n),
+    built = np.where(on, A_FF.diagonal() * 10.0 ** rng.uniform(-2, 2, n),
                      0.0)
     W = built * 2.0 ** rng.uniform(-1.0, 1.0, n)
     if not within:
         W[rng.choice(np.flatnonzero(on))] *= rng.choice([1 / 8, 8.0])
 
     def operator(diag):
-        return (sys.matrix + sp.diags(diag)).tocsr()
+        return (A_FF + sp.diags(diag)).tocsr()
 
     workspace = SolveWorkspace()
     workspace.robin = built
-    first = workspace.preconditioner(mesh, operator(built), sys.free)
+    first = workspace.preconditioner(mesh, operator(built), fixed)
     workspace.robin = W
     A = operator(W)
-    kept = workspace.preconditioner(mesh, A, sys.free)
+    kept = workspace.preconditioner(mesh, A, fixed)
     assert workspace.transfer_builds == 1
     assert workspace.vcycle_builds == (1 if within else 2)
     assert (kept is first) == within
 
     def solve(precond):
         steps = []
-        x = solve_spd(A, sys.rhs, tol=tol, precond=precond,
+        x = solve_spd(A, b, tol=tol, precond=precond,
                       callback=steps.append)
         return x, len(steps)
 
-    x_fresh, fresh_steps = solve(VCycle(A, transfers(mesh, sys.free)))
+    x_fresh, fresh_steps = solve(VCycle(A, transfers(mesh, fixed)))
     x, steps = solve(kept)
     assert steps <= 2 * fresh_steps + 2
-    assert np.linalg.norm(sys.rhs - A @ x) <= tol * np.linalg.norm(sys.rhs)
+    assert np.linalg.norm(b - A @ x) <= tol * np.linalg.norm(b)
     assert (np.linalg.norm(x - x_fresh)
             <= 100 * tol * np.linalg.norm(x_fresh))
 
 
-def shifted(sys, t):
-    """The system matrix shifted between its two smallest eigenvalues: one
+def shifted(A, t):
+    """The matrix ``A`` shifted between its two smallest eigenvalues: one
     negative eigenvalue, and still a positive diagonal."""
-    lam = np.linalg.eigvalsh(sys.matrix.toarray())[:2]
-    shift = (lam[0] + t * (lam[1] - lam[0])) * sp.identity(len(sys.rhs))
-    A = (sys.matrix - shift).tocsr()
+    lam = np.linalg.eigvalsh(A.toarray())[:2]
+    shift = (lam[0] + t * (lam[1] - lam[0])) * sp.identity(A.shape[0])
+    A = (A - shift).tocsr()
     assert np.all(A.diagonal() > 0)
     return A
 
@@ -260,21 +265,21 @@ def shifted(sys, t):
 @given(seed=st.integers(0, 2**32 - 1), frac=st.floats(0.0, 0.3),
        glued=st.booleans(), t=st.floats(0.05, 0.95))
 def test_multigrid_rejects_an_indefinite_system(seed, frac, glued, t):
-    mesh, sys = random_system(1 / 16, glued, frac,
-                              np.random.default_rng(seed))
-    A = shifted(sys, t)
+    mesh, fixed, A_FF, b = random_system(1 / 16, glued, frac,
+                                         np.random.default_rng(seed))
+    A = shifted(A_FF, t)
     with pytest.raises(NoConvergence):
-        solve_spd(A, sys.rhs, tol=1e-12,
-                  precond=VCycle(A, transfers(mesh, sys.free)))
+        solve_spd(A, b, tol=1e-12, precond=VCycle(A, transfers(mesh, fixed)))
 
 
 @pytest.mark.parametrize("glued", [False, True])
 def test_coarsest_level_rejects_a_smooth_negative_mode(glued):
     # without fixed nodes the negative eigenvector is the smoothest mode,
     # so the Galerkin coarse operator is indefinite too
-    mesh, sys = random_system(1 / 16, glued, 0.0, np.random.default_rng(0))
+    mesh, fixed, A, _ = random_system(1 / 16, glued, 0.0,
+                                      np.random.default_rng(0))
     with pytest.raises(NoConvergence, match="coarsest level"):
-        VCycle(shifted(sys, 0.5), transfers(mesh, sys.free))
+        VCycle(shifted(A, 0.5), transfers(mesh, fixed))
 
 
 SOLVE_BOTH = """

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from insulopt.errors import MeshMismatch, NonpositiveWeight
-from insulopt.fem import ProblemData, eval_E_limit
+from insulopt.fem import ProblemData, eval_E_limit, solve_spd
 from insulopt.geometry import InsulationDistribution, build_transversal_field
 from insulopt.layer_solver import poincare_fiber_check, solve_eps
 from insulopt.meshing import extrude_layer, triangulate_bulk
@@ -228,3 +229,17 @@ def test_every_solve_takes_the_constrained_path_once(monkeypatch):
     _, rep = solve_reduced(mesh, 1.0, data, method="alternating")
     assert rep.diagnostics["iterations"] >= 2
     assert calls == [mesh] * rep.diagnostics["iterations"]
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_linear_solves_reject_a_max_iter_below_one(max_iter):
+    domain, field, mesh, data = pseudo1d_setup(h=1 / 8)
+    dist = InsulationDistribution.constant(field, 1.0)
+    glued = extrude_layer(mesh, field, dist, eps=0.1, n_t=2)
+    for solve in (lambda: solve_limit(mesh, field, dist, data,
+                                      max_iter=max_iter),
+                  lambda: solve_eps(glued, 0.1, data, max_iter=max_iter),
+                  lambda: solve_spd(sp.identity(3, format="csr"), np.ones(3),
+                                    max_iter=max_iter)):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve()
