@@ -7,8 +7,9 @@
 Pair k runs ``perfbench/run.py --trace 0 --seed k`` (k = 1 .. pairs) once
 in the parent checkout and once in this one, one run at a time; the parent
 runs first on odd seeds and second on even ones.  The run length is the
-``run_seconds`` of this checkout's ``BENCHMARK.json``.  For every
-end-to-end metric the script prints each side's median and quartiles, the
+``run_seconds`` of this checkout's ``BENCHMARK.json``.  Each pair prints
+one line with both sides' metrics and failed counts, so a failed run names
+its seed and side.  For every end-to-end metric the script prints each side's median and quartiles, the
 pairs the change wins (ties count for neither side), and whether a gain may
 be claimed: the change wins at least nine tenths of the pairs and the
 medians differ by more than the parent's interquartile range.  A change
@@ -61,21 +62,24 @@ def main(argv=None):
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     values = {side: {m["name"]: [] for m in spec["end_to_end"]}
               for side in sides}
-    failed = dict.fromkeys(sides, 0)
+    failed = {side: [] for side in sides}
     for seed in range(1, args.pairs + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
             result = run_once(sides[side], args.workload, seed,
                               seconds)["result"]
-            failed[side] += result["failed"]
+            failed[side].append(result["failed"])
             for name, series in values[side].items():
                 series.append(result["metrics"][name]["value"])
         print(f"seed {seed} ({order[0]} first): " + ", ".join(
             f"{name} {values['parent'][name][-1]:.4g} -> "
             f"{values['change'][name][-1]:.4g}"
-            for name in values["parent"]), flush=True)
+            for name in values["parent"])
+            + f", failed {failed['parent'][-1]} -> {failed['change'][-1]}",
+            flush=True)
     print(f"{args.workload}, {args.pairs} pairs of {seconds:g} s runs; "
-          f"failed: parent {failed['parent']}, change {failed['change']}")
+          f"failed: parent {sum(failed['parent'])}, "
+          f"change {sum(failed['change'])}")
     for metric in spec["end_to_end"]:
         print(summary(metric, values["parent"][metric["name"]],
                       values["change"][metric["name"]]))

@@ -107,6 +107,11 @@ def _check_keys(obj, allowed, path):
             raise SchemaError(f"{path}.{key}" if path else key, "unknown key")
 
 
+def _integer(obj):
+    # JSON true and false parse to bool, which is an int subclass
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def _number(obj, path, positive=False):
     _expect(isinstance(obj, (int, float)) and not isinstance(obj, bool),
             path, "expected a number")
@@ -210,7 +215,7 @@ def validate_config(raw):
                              "method"}, "solver")
     h = _number(solver_raw.get("h"), "solver.h", positive=True)
     n_t = solver_raw.get("n_t", DEFAULT_NT)
-    _expect(isinstance(n_t, int) and n_t >= 1, "solver.n_t",
+    _expect(_integer(n_t) and n_t >= 1, "solver.n_t",
             "must be an integer >= 1")
     eps_list = solver_raw.get("epsilon_list", [])
     _expect(isinstance(eps_list, list), "solver.epsilon_list", "expected list")
@@ -222,7 +227,7 @@ def validate_config(raw):
                   positive=True)
     max_iter = solver_raw.get("max_iter")
     if max_iter is not None:
-        _expect(isinstance(max_iter, int) and max_iter > 0, "solver.max_iter",
+        _expect(_integer(max_iter) and max_iter > 0, "solver.max_iter",
                 "must be a positive integer")
     method = solver_raw.get("method", "proxgrad")
     _expect(method in ("proxgrad", "alternating"), "solver.method",

@@ -60,6 +60,7 @@ class GammaSweepRow:
     equicoercivity: float
     layer_area_over_eps: float
     poincare_ratio: float
+    pcg_iterations: int  # of the thin-layer solve; not a CSV column
 
 
 @dataclass
@@ -67,6 +68,7 @@ class GammaSweepReport:
     rows: list
     energy_limit: float
     weighted_mass: float
+    pcg_iterations_limit: int  # of the limit solve; not a CSV column
     orders_solution: list = dc_field(default_factory=list)
     orders_recovery: list = dc_field(default_factory=list)
     fields: list = dc_field(default_factory=list)
@@ -116,12 +118,16 @@ def gamma_sweep(domain, field, dist, data, eps_list, h, n_t, tol=1e-10,
     bulk = triangulate_bulk(domain, h)
     u_lim, rep_lim = solve_limit(bulk, field, dist, data, tol=tol)
     e_lim = rep_lim.total
+    # the glued meshes' bulk triangles are the bulk's, so their load is the
+    # bulk's, padded with zeros over the layer
+    bulk_load = assemble_load(bulk, data.f)
 
     rows = []
     fields = []
     for eps in eps_list:
         glued = extrude_layer(bulk, field, dist, eps, n_t)
-        load = assemble_load(glued, data.f)  # one per mesh: solve and energies
+        load = np.zeros(len(glued.nodes))  # the solve and both energies
+        load[:len(bulk_load)] = bulk_load
         u_eps, rep_eps = solve_eps(glued, eps, data, tol=tol, load=load)
         v_rec = recovery_sequence(u_lim, glued)
         rep_rec = eval_E_eps(glued, v_rec, eps, data, load=load)
@@ -141,6 +147,7 @@ def gamma_sweep(domain, field, dist, data, eps_list, h, n_t, tol=1e-10,
             equicoercivity=rep_eps.diagnostics["equicoercivity"],
             layer_area_over_eps=layer_area(field, dist, eps) / eps,
             poincare_ratio=rep_eps.diagnostics["poincare_max_ratio"],
+            pcg_iterations=rep_eps.diagnostics["pcg_iterations"],
         ))
 
     monitor = [r.equicoercivity for r in rows]
@@ -153,6 +160,7 @@ def gamma_sweep(domain, field, dist, data, eps_list, h, n_t, tol=1e-10,
         rows=rows,
         energy_limit=e_lim,
         weighted_mass=transversal_mass(field, dist),
+        pcg_iterations_limit=rep_lim.diagnostics["pcg_iterations"],
         orders_solution=_observed_orders(eps_list, [r.gap_solution for r in rows]),
         orders_recovery=_observed_orders(eps_list, [r.gap_recovery for r in rows]),
         fields=fields,

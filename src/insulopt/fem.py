@@ -6,9 +6,14 @@ the Robin interface term (keeps O(h^2) accuracy), and a lumped nodal rule
 w_j = half-sum of adjacent edge lengths for the L1 trace norm, which makes
 the non-smooth term separable and the thickness-elimination algebra exact.
 
-Meshes are immutable once built, so ``stiffness`` caches the unit-coefficient
-stiffness of each mesh (and of each region of a glued mesh) on the mesh at
-first use; every solver and energy evaluator shares those operators.
+Meshes are immutable once built, so ``stiffness`` and ``mass`` cache the
+unit-coefficient stiffness and the mass matrix of each mesh (and of each
+region of a glued mesh) in one store on the mesh at first use; every solver
+and energy evaluator shares those operators.  A glued mesh takes its bulk
+operators from the bulk mesh it was extruded from: the bulk triangles are
+the same, in the same order, over the same node prefix, so the bulk mesh's
+matrix padded with empty rows and columns (``_padded``, which shares its
+arrays) equals the glued assembly bit for bit.
 
 The fixed nodes of a solve have one form: ``dirichlet_nodes`` returns a
 boolean node mask ``fixed`` and a ``lift``, the field holding u_D at the
@@ -107,8 +112,10 @@ class EnergyReport:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
-def _tri_geometry(mesh):
-    p = mesh.nodes[mesh.tris]
+def _tri_geometry(mesh, tris=slice(None)):
+    """Gradient coefficients b, c and the areas of the triangles
+    ``mesh.tris[tris]``."""
+    p = mesh.nodes[mesh.tris[tris]]
     x, y = p[..., 0], p[..., 1]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
@@ -132,7 +139,7 @@ def assemble_stiffness(mesh, coeff=1.0, region=None):
     if coeff < 0:
         raise ValueError("stiffness coefficient must be non-negative")
     mask = slice(None) if region is None else mesh.region == region
-    b, c, area = (x[mask].T for x in _tri_geometry(mesh))
+    b, c, area = (x.T for x in _tri_geometry(mesh, mask))
     ke = b[:, None] * b[None]  # built in place: assembly sets peak memory
     ke += c[:, None] * c[None]
     ke *= coeff / (4.0 * area)
@@ -143,39 +150,64 @@ def assemble_stiffness(mesh, coeff=1.0, region=None):
     return K
 
 
-def stiffness(mesh, region=None):
-    """Unit stiffness of ``mesh`` (of one region when given), assembled on
-    first use and cached on the mesh.  Every caller shares the matrix, so
-    its arrays are read-only."""
-    K = mesh.stiffness_cache.get(region)
-    if K is None:
-        K = assemble_stiffness(mesh, region=region)
-        for arr in (K.data, K.indices, K.indptr):
-            arr.flags.writeable = False
-        mesh.stiffness_cache[region] = K
-    return K
-
-
 def assemble_mass(mesh, region=None):
     """Consistent P1 mass matrix, optionally restricted to one region."""
     mask = slice(None) if region is None else mesh.region == region
-    _, _, area = _tri_geometry(mesh)
+    _, _, area = _tri_geometry(mesh, mask)
     local = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
-    return _scatter(mesh, mask, local[:, :, None] * area[mask])
+    return _scatter(mesh, mask, local[:, :, None] * area)
+
+
+def stiffness(mesh, region=None):
+    """Unit stiffness of ``mesh`` (of one region when given), built on
+    first use and cached on the mesh (see ``_operator``)."""
+    return _operator(mesh, "stiffness", region, assemble_stiffness)
+
+
+def mass(mesh, region=None):
+    """Consistent mass matrix of ``mesh`` (of one region when given),
+    built on first use and cached on the mesh (see ``_operator``)."""
+    return _operator(mesh, "mass", region, assemble_mass)
+
+
+def _operator(mesh, kind, region, assemble):
+    """The ``kind`` operator of ``mesh`` from ``mesh.operator_cache``, built
+    by ``assemble(mesh, region=region)`` on first use.  The bulk operator
+    of a glued mesh is its bulk mesh's whole-mesh operator, padded.  Every
+    caller shares the matrix, so its arrays are read-only."""
+    A = mesh.operator_cache.get((kind, region))
+    if A is None:
+        if region == BULK and mesh.bulk is not None:
+            A = _padded(_operator(mesh.bulk, kind, None, assemble),
+                       len(mesh.nodes))
+        else:
+            A = assemble(mesh, region=region)
+        for arr in (A.data, A.indices, A.indptr):
+            arr.flags.writeable = False
+        mesh.operator_cache[(kind, region)] = A
+    return A
+
+
+def _padded(A, n):
+    """The square CSR matrix ``A`` with empty rows and columns appended up
+    to size n; it shares the data and indices of ``A``."""
+    tail = np.full(n - A.shape[0], A.indptr[-1], dtype=A.indptr.dtype)
+    return sp.csr_matrix((A.data, A.indices, np.concatenate([A.indptr, tail])),
+                         shape=(n, n))
 
 
 def assemble_load(mesh, f):
     """Load vector of the bulk heat source (exact for per-triangle f)."""
-    _, _, area = _tri_geometry(mesh)
+    bulk = slice(mesh.n_bulk_tris)  # the bulk triangles are a prefix
+    _, _, area = _tri_geometry(mesh, bulk)
     load = np.zeros(len(mesh.nodes))
-    bulk = np.where(mesh.region == BULK)[0]
     if isinstance(f, np.ndarray):
         if len(f) not in (len(mesh.tris), mesh.n_bulk_tris):
             raise MeshMismatch("per-triangle source length does not match mesh")
-        fvals = f[bulk] if len(f) == len(mesh.tris) else f
+        fvals = f[bulk]
     else:
-        fvals = np.full(len(bulk), float(f))
-    contrib = fvals * area[bulk] / 3.0
+        fvals = np.full(mesh.n_bulk_tris, float(f))
+    contrib = fvals * area / 3.0
     for i in range(3):
         np.add.at(load, mesh.tris[bulk, i], contrib)
     return load

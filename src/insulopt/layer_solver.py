@@ -12,10 +12,10 @@ from .errors import MeshMismatch
 from .fem import (
     SolveWorkspace,
     assemble_load,
-    assemble_mass,
     assemble_neumann,
     dirichlet_nodes,
     eval_E_eps,
+    mass,
     solve_constrained,
     solve_spd,  # noqa: F401  bound here for perfbench's tracer self-test
     stiffness,
@@ -59,11 +59,9 @@ def solve_eps(mesh, eps, data, tol=1e-10, max_iter=None, load=None):
 
 def equicoercivity_norms(mesh, u, eps):
     """|u|^2_W + |grad u|^2_W + (1/eps)|u|^2_S + eps |grad u|^2_S and the sum."""
-    M_bulk = assemble_mass(mesh, BULK)
-    M_layer = assemble_mass(mesh, LAYER)
-    l2_bulk = float(u @ (M_bulk @ u))
+    l2_bulk = float(u @ (mass(mesh, BULK) @ u))
     h1_bulk = float(u @ (stiffness(mesh, BULK) @ u))
-    l2_layer = float(u @ (M_layer @ u))
+    l2_layer = float(u @ (mass(mesh, LAYER) @ u))
     h1_layer = float(u @ (stiffness(mesh, LAYER) @ u))
     total = l2_bulk + h1_bulk + l2_layer / eps + eps * h1_layer
     return {

@@ -20,9 +20,11 @@ component with zero thickness throughout gets no block.  Boundary edges are
 the kept bulk edges, then the top edges, then the side edges.  The table
 ``fibers[j, l]`` (level 0 is the bulk node) is the one description of the
 layer: every layer consumer (recovery sequence, fiber Poincare check, layer
-offsets, the finest multigrid level) indexes it instead of walking nodes.
-Since the bulk is a prefix, a glued mesh carries the bulk hierarchy and the
-bulk's insulated chain as they are; its layer edges have NaN lam.
+offsets, the multigrid levels of the layer) indexes it instead of walking
+nodes.  Since the bulk is a prefix, a glued mesh carries the bulk hierarchy
+and the bulk's insulated chain as they are, and it keeps its bulk mesh
+(``TriMesh.bulk``), whose operators are its bulk operators; its layer edges
+have NaN lam.
 """
 from __future__ import annotations
 
@@ -124,12 +126,17 @@ class TriMesh:
     # E midpoints a level appends after the nodes of the level below it
     hierarchy: tuple = ()
     # lazy per-mesh stores, sound because a mesh is never modified once
-    # built: unit stiffness per region (None = whole mesh), filled by
-    # fem.stiffness, and the field-free insulated chain
-    stiffness_cache: dict = dc_field(default_factory=dict, init=False,
-                                     repr=False, compare=False)
+    # built: the unit stiffness and mass matrices per region (None = whole
+    # mesh), filled by fem.stiffness and fem.mass, and the field-free
+    # insulated chain
+    operator_cache: dict = dc_field(default_factory=dict, init=False,
+                                    repr=False, compare=False)
     chain_cache: InsulatedChain | None = dc_field(
         default=None, init=False, repr=False, compare=False)
+    # the bulk mesh a glued mesh was extruded from; its nodes and triangles
+    # are the glued mesh's prefix, so its operators are the glued bulk's
+    bulk: TriMesh | None = dc_field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def signed_areas(self):
         p = self.nodes[self.tris]
@@ -423,7 +430,7 @@ def extrude_layer(bulk, field, dist, eps, n_t):
                                 fiber_nodes=fiber_nodes),
         hierarchy=bulk.hierarchy,
     )
-    glued.chain_cache = bulk.chain_cache
+    glued.chain_cache, glued.bulk = bulk.chain_cache, bulk
     if np.any(glued.signed_areas()[len(bulk.tris):] <= 0):
         raise NonInjectiveLayer(
             "extruded layer contains inverted cells; eps exceeds the "

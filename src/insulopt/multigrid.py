@@ -4,13 +4,17 @@ One symmetric V-cycle preconditions the conjugate gradients of every SPD
 solve on a mesh that carries its hierarchy (``TriMesh.hierarchy``).  Going
 from fine to coarse, each level has:
 
-* a prolongation P = [I; (e_a + e_b)/2]: the coarse nodes are a prefix of
-  the fine nodes, and each midpoint interpolates its two parents.  A glued
-  mesh adds one finest level that maps the bulk onto the fibers by the
-  recovery sequence: the fiber node at level l of n_t gets
-  u(base) (1 - l/n_t);
-* only the free rows and columns of P, so a coarse node is fixed when it is
-  fixed on the finer level, and the Galerkin coarse operator P^T A P;
+* a prolongation P that injects the coarse nodes and interpolates each
+  midpoint from its two parents with weights 1/2.  On a bulk mesh the
+  coarse nodes are a prefix of the fine nodes.  A glued mesh coarsens its
+  layer with the bulk: every level keeps the fibers over the chain nodes of
+  its bulk level, a fiber over a coarse chain node is injected, and the
+  fiber over a boundary midpoint takes 1/2 of each parent's fiber at the
+  same fiber level.  So the coarse nodes are listed explicitly
+  (``stencils``);
+* only the free rows and columns of P, so a coarse node is fixed when the
+  fine node injected into it is fixed, and the Galerkin coarse operator
+  P^T A P;
 * SMOOTHING_STEPS damped Jacobi steps before and after the coarse
   correction, with omega = 4/(3 rho), rho = rho(D^-1 A) estimated by
   POWER_STEPS power iterations.
@@ -47,54 +51,74 @@ COARSE_SIZE = 200
 def stencils(mesh):
     """Interpolation stencils of the hierarchy of ``mesh``, fine to coarse.
 
-    Yields (n_coarse, rows, cols, weights) per level: fine node ``rows[i]``
-    takes ``weights[i]`` times coarse node ``cols[i]``, and the nodes below
-    n_coarse are injected.
+    Yields (coarse, rows, cols, weights) per level: coarse node i is fine
+    node ``coarse[i]``, and fine node ``rows[k]`` takes ``weights[k]``
+    times coarse node ``cols[k]``.  A level of a glued mesh numbers its
+    bulk nodes first, then the levels 1..n_t of the fibers over its chain
+    nodes, fiber by fiber in the order of ``ExtrusionInfo.fibers``.
     """
     ext = mesh.extrusion
-    if ext is not None:
-        fibers, n_t = ext.fibers, ext.n_t
-        levels = np.arange(1, n_t)  # the top level is zero
-        yield (mesh.n_bulk_nodes, fibers[:, 1:n_t].ravel(),
-               np.repeat(fibers[:, 0], n_t - 1),
-               np.tile((n_t - levels) / n_t, len(fibers)))
+    fibers = np.zeros((0, 1), dtype=int) if ext is None else ext.fibers
+    n_t = fibers.shape[1] - 1
+    base = fibers[:, 0]
+    row_of = np.full(mesh.n_bulk_nodes, -1)  # the fiber over a bulk node
+    row_of[base] = np.arange(len(fibers))
+    levels = np.arange(n_t)
+
+    def layer_ids(n, rows):
+        """Level ids of the fiber nodes of ``rows`` on the level with n bulk
+        nodes, (len(rows), n_t)."""
+        rank = np.cumsum(base < n) - 1
+        return n + (rank[rows] * n_t)[:, None] + levels
+
     n = mesh.n_bulk_nodes
     for parents in reversed(mesh.hierarchy):
         n_coarse = n - len(parents)
-        yield (n_coarse, np.repeat(np.arange(n_coarse, n), 2),
-               parents.ravel(), np.full(parents.size, 0.5))
+        kept = np.flatnonzero(base < n_coarse)
+        coarse = np.concatenate([np.arange(n_coarse),
+                                 layer_ids(n, kept).ravel()])
+        # a fiber over a midpoint takes half of each parent's fiber
+        mid = np.flatnonzero((base >= n_coarse) & (base < n))
+        ends = row_of[parents[base[mid] - n_coarse]]
+        rows = np.concatenate([np.repeat(np.arange(n_coarse, n), 2),
+                               np.repeat(layer_ids(n, mid), 2, axis=0).ravel()])
+        cols = np.concatenate([parents.ravel(), np.stack(
+            [layer_ids(n_coarse, ends[:, 0]), layer_ids(n_coarse, ends[:, 1])],
+            axis=1).ravel()])
+        yield coarse, rows, cols, np.full(len(rows), 0.5)
         n = n_coarse
 
 
-def prolongation(free, n_coarse, rows, cols, weights):
+def prolongation(free, coarse, rows, cols, weights):
     """CSR prolongation from the free coarse nodes to the free fine nodes.
 
-    ``free`` masks the free fine nodes.  Both levels number their free
-    nodes in node order, so the free coarse nodes are the leading free fine
-    unknowns.
+    ``free`` masks the free fine nodes; a coarse node is free when the fine
+    node injected into it is.  Both levels number their free nodes in node
+    order.
     """
-    at = np.cumsum(free) - 1
-    n_free_coarse = int(np.count_nonzero(free[:n_coarse]))
-    keep = free[rows] & free[cols]
-    r = np.concatenate([np.arange(n_free_coarse), at[rows[keep]]])
-    c = np.concatenate([np.arange(n_free_coarse), at[cols[keep]]])
-    v = np.concatenate([np.ones(n_free_coarse), weights[keep]])
-    return sp.csr_matrix((v, (r, c)), shape=(int(at[-1]) + 1, n_free_coarse))
+    free_coarse = free[coarse]
+    at, at_coarse = np.cumsum(free) - 1, np.cumsum(free_coarse) - 1
+    injected = coarse[free_coarse]
+    keep = free[rows] & free_coarse[cols]
+    r = np.concatenate([at[injected], at[rows[keep]]])
+    c = np.concatenate([np.arange(len(injected)), at_coarse[cols[keep]]])
+    v = np.concatenate([np.ones(len(injected)), weights[keep]])
+    return sp.csr_matrix((v, (r, c)), shape=(int(at[-1]) + 1, len(injected)))
 
 
 def transfers(mesh, fixed):
     """Restricted prolongations and restrictions (P, R = P^T) of the levels
     of ``mesh`` for the nodes outside the mask ``fixed``, fine to coarse,
     down to COARSE_SIZE free unknowns."""
-    mask = ~fixed
+    free = ~fixed
     levels = []
-    n_free = int(np.count_nonzero(mask))
-    for n_coarse, rows, cols, weights in stencils(mesh):
+    n_free = int(np.count_nonzero(free))
+    for coarse, rows, cols, weights in stencils(mesh):
         if n_free <= COARSE_SIZE:
             break
-        P = prolongation(mask, n_coarse, rows, cols, weights)
+        P = prolongation(free, coarse, rows, cols, weights)
         levels.append((P, P.T.tocsr()))
-        mask = mask[:n_coarse]
+        free = free[coarse]
         n_free = P.shape[1]
     return levels
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from insulopt.cli import _build_problem, _distribution, main
 from insulopt.config import apply_overrides, parse_config, validate_config
 from insulopt.convergence import gamma_sweep
 from insulopt.errors import SchemaError
+from insulopt.layer_solver import solve_eps
+from insulopt.meshing import extrude_layer, triangulate_bulk
+from insulopt.robin_solver import solve_limit
 
 PSEUDO1D = {
     "domain": {
@@ -58,6 +62,17 @@ def test_epsilon_list_must_decrease():
     with pytest.raises(SchemaError) as err:
         validate_config(bad)
     assert "epsilon_list" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["n_t", "max_iter"])
+@pytest.mark.parametrize("value", [True, False, 2.0])
+def test_solver_integers_reject_booleans_and_floats(key, value):
+    # JSON true would act as 1
+    bad = json.loads(json.dumps(PSEUDO1D))
+    bad["solver"][key] = value
+    with pytest.raises(SchemaError) as err:
+        parse_config(json.dumps(bad))
+    assert f"solver.{key}" in str(err.value)
 
 
 def test_round_trip_identical():
@@ -155,6 +170,46 @@ def test_cli_gamma_sweep_csv(tmp_path, capsys):
                          n_t=run.solver.n_t, tol=run.solver.tol)
     assert (tmp_path / "out" / "gamma.csv").read_bytes() == \
         ("\n".join(report.csv_rows()) + "\n").encode()
+
+
+def test_gamma_sweep_pcg_counts_stay_out_of_the_outputs(tmp_path, capsys):
+    cfg = json.loads(json.dumps(PSEUDO1D))
+    cfg["solver"]["h"] = 0.25
+    assert run_cli(tmp_path, cfg, "gamma-sweep") == 0
+    out = capsys.readouterr().out
+    run = parse_config(json.dumps(cfg))
+    _, field, _, data = _build_problem(run, need_mesh=False)
+    dist = _distribution(run, field)
+    h, n_t, tol = run.solver.h, run.solver.n_t, run.solver.tol
+    report = gamma_sweep(field.domain, field, dist, data,
+                         run.solver.epsilon_list, h=h, n_t=n_t, tol=tol)
+    # each row carries the PCG iterations of its thin-layer solve, and the
+    # report those of the limit solve
+    bulk = triangulate_bulk(field.domain, h)
+    _, rep = solve_limit(bulk, field, dist, data, tol=tol)
+    assert report.pcg_iterations_limit == rep.diagnostics["pcg_iterations"]
+    assert report.pcg_iterations_limit > 0
+    for row in report.rows:
+        glued = extrude_layer(bulk, field, dist, row.eps, n_t)
+        _, rep = solve_eps(glued, row.eps, data, tol=tol)
+        assert row.pcg_iterations == rep.diagnostics["pcg_iterations"] > 0
+    # neither count reaches the CSV or the printed terms
+    header, _ = report.csv_table()
+    assert header == ("eps,energy_solution,energy_recovery,gap_solution,"
+                      "gap_recovery,equicoercivity,layer_area_over_eps,"
+                      "poincare_ratio")
+    zeroed = replace(report, pcg_iterations_limit=0, rows=[
+        replace(r, pcg_iterations=0) for r in report.rows])
+    assert zeroed.csv_rows() == report.csv_rows()
+    assert (tmp_path / "out" / "gamma.csv").read_bytes() == \
+        ("\n".join(report.csv_rows()) + "\n").encode()
+    last = report.rows[-1]
+    assert out == "".join(
+        f"TERM={name} VALUE={value:.17g}\n" for name, value in (
+            ("E_LIMIT", report.energy_limit),
+            ("WEIGHTED_MASS", report.weighted_mass),
+            ("FINAL_GAP_SOLUTION", last.gap_solution),
+            ("FINAL_GAP_RECOVERY", last.gap_recovery)))
 
 
 def test_cli_check_lebesgue(tmp_path, capsys):

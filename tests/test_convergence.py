@@ -68,9 +68,10 @@ def test_gamma_sweep_pseudo1d_gaps_vanish(c, scale):
         assert row.energy_solution <= row.energy_recovery + 1e-12
 
 
-def test_gamma_sweep_assembles_one_load_per_mesh(monkeypatch):
-    # the bulk's load serves the limit solve and its energy; each glued
-    # mesh's load serves solve_eps and both thin-layer energies
+def test_gamma_sweep_assembles_loads_on_the_bulk_mesh_only(monkeypatch):
+    # one bulk load serves the limit solve and its energy; a second one,
+    # padded with zeros, serves every glued mesh's solve_eps and both of
+    # its thin-layer energies
     from insulopt import convergence, fem, layer_solver, robin_solver
 
     calls = []
@@ -88,8 +89,8 @@ def test_gamma_sweep_assembles_one_load_per_mesh(monkeypatch):
     dist = InsulationDistribution.constant(field, 1.0)
     gamma_sweep(domain, field, dist, data, [0.2, 0.1, 0.05, 0.025], h=1 / 8,
                 n_t=4)
-    assert len(calls) == 5
-    assert len({id(mesh) for mesh in calls}) == 5  # one call per mesh
+    assert len(calls) == 2
+    assert calls[0] is calls[1] and calls[0].extrusion is None
 
 
 def test_gamma_sweep_rejects_nondecreasing_eps():

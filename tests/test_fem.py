@@ -12,10 +12,12 @@ from insulopt.fem import (
     apply_dirichlet,
     assemble_boundary_mass,
     assemble_load,
+    assemble_mass,
     assemble_neumann,
     assemble_stiffness,
     boundary_l1,
     dirichlet_nodes,
+    mass,
     solve_spd,
     stiffness,
 )
@@ -361,14 +363,49 @@ def stiffness_calls(monkeypatch):
 
 @pytest.mark.parametrize("n_eps", [1, 3])
 def test_gamma_sweep_assembles_each_stiffness_once(
-        lshape_all_insulated, stiffness_calls, n_eps):
+        lshape_all_insulated, stiffness_calls, n_eps, monkeypatch):
     field = build_transversal_field(lshape_all_insulated, "bisector")
     dist = InsulationDistribution.constant(field, 1.0)
     eps_list = [0.1 / 2**i for i in range(n_eps)]
+    masses = []
+    original = fem.assemble_mass
+
+    def counting(mesh, *args, **kwargs):
+        masses.append(mesh)
+        return original(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "assemble_mass", counting)
     gamma_sweep(lshape_all_insulated, field, dist, ProblemData(f=1.0),
                 eps_list, h=0.25, n_t=2)
-    # the bulk mesh once, then the two regions of every glued mesh
-    assert len(stiffness_calls) <= 1 + 2 * n_eps
+    # the bulk mesh once, then the layer of every glued mesh; the glued
+    # bulk operators are the bulk mesh's
+    assert len(stiffness_calls) == 1 + n_eps
+    assert len(masses) == 1 + n_eps
+    assert masses[0].extrusion is None
+    assert all(m.extrusion is not None for m in masses[1:])
+
+
+def test_glued_bulk_operators_are_the_bulk_meshs(lshape_all_insulated):
+    field, dist, glued = lshape_glued(lshape_all_insulated)
+    bulk = glued.bulk
+    assert bulk.extrusion is None and len(bulk.nodes) == glued.n_bulk_nodes
+    for operator, assemble in ((stiffness, assemble_stiffness),
+                               (mass, assemble_mass)):
+        A, own = operator(glued, BULK), operator(bulk)
+        ref = assemble(glued, region=BULK)
+        assert A.shape == ref.shape == (len(glued.nodes),) * 2
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(A, name), getattr(ref, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+        assert np.shares_memory(A.data, own.data)
+        assert np.shares_memory(A.indices, own.indices)
+        assert operator(glued, BULK) is A
+        with pytest.raises(ValueError):
+            A.indptr[-1] = 0  # the padded matrix is read-only too
+    # the layer operators are the glued mesh's own
+    assert not np.shares_memory(stiffness(glued, LAYER).data,
+                                stiffness(bulk).data)
 
 
 def test_second_reduced_solve_assembles_nothing(stiffness_calls):
@@ -425,4 +462,4 @@ def test_stiffness_stores_no_zeros(vertices, h, nnz, zeros, monkeypatch):
 def test_meshes_start_with_an_empty_stiffness_store(lshape_all_insulated):
     _, _, glued = lshape_glued(lshape_all_insulated)
     bulk = triangulate_bulk(lshape_all_insulated, 0.25)
-    assert bulk.stiffness_cache == {} and glued.stiffness_cache == {}
+    assert bulk.operator_cache == {} and glued.operator_cache == {}

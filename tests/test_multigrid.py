@@ -42,48 +42,80 @@ def lshape(h):
 
 
 def finest_prolongation(mesh):
-    """P of the finest level with every node free."""
-    n_coarse, rows, cols, weights = next(stencils(mesh))
+    """Coarse nodes and P of the finest level with every node free."""
+    coarse, rows, cols, weights = next(stencils(mesh))
     free = np.ones(len(mesh.nodes), dtype=bool)
-    return n_coarse, prolongation(free, n_coarse, rows, cols, weights)
+    return coarse, prolongation(free, coarse, rows, cols, weights)
 
 
 @pytest.mark.parametrize("h", [1 / 8, 1 / 32])
 def test_galerkin_product_is_the_coarse_stiffness(h):
     _, _, fine = lshape(h)
-    _, _, coarse = lshape(2 * h)
-    assert len(fine.hierarchy) == len(coarse.hierarchy) + 1
-    n_coarse, P = finest_prolongation(fine)
-    assert n_coarse == len(coarse.nodes)
+    _, _, coarse_mesh = lshape(2 * h)
+    assert len(fine.hierarchy) == len(coarse_mesh.hierarchy) + 1
+    coarse, P = finest_prolongation(fine)
+    # a bulk mesh's coarse nodes are a prefix of its fine nodes
+    assert np.array_equal(coarse, np.arange(len(coarse_mesh.nodes)))
     K_c = (P.T @ stiffness(fine) @ P).tocsr()
-    assert abs(K_c - stiffness(coarse)).max() == 0.0
+    assert abs(K_c - stiffness(coarse_mesh)).max() == 0.0
 
 
 @pytest.mark.parametrize("h", [1 / 8, 1 / 32])
 def test_prolongation_reproduces_the_fine_nodes(h):
     _, _, fine = lshape(h)
     nodes = fine.nodes
-    for n_coarse, rows, cols, weights in stencils(fine):
+    for coarse, rows, cols, weights in stencils(fine):
         free = np.ones(len(nodes), dtype=bool)
-        P = prolongation(free, n_coarse, rows, cols, weights)
-        assert np.array_equal(P @ nodes[:n_coarse], nodes)
-        nodes = nodes[:n_coarse]
+        P = prolongation(free, coarse, rows, cols, weights)
+        assert np.array_equal(P @ nodes[coarse], nodes)
+        nodes = nodes[coarse]
     assert len(nodes) == len(insulopt.PolygonalDomain(
         LSHAPE, ["insulated"] * 6).vertices)
 
 
-def test_glued_mesh_carries_the_bulk_hierarchy():
-    field, dist, bulk = lshape(1 / 16)
-    glued = extrude_layer(bulk, field, dist, 0.02, n_t=4)
-    assert glued.hierarchy is bulk.hierarchy
-    levels = list(stencils(glued))
-    assert len(levels) == len(bulk.hierarchy) + 1
-    # the glued level is the recovery sequence of the bulk field
-    n_coarse, rows, cols, weights = levels[0]
-    free = np.ones(len(glued.nodes), dtype=bool)
-    P = prolongation(free, n_coarse, rows, cols, weights)
-    u = np.random.default_rng(0).standard_normal(n_coarse)
-    assert np.array_equal(P @ u, insulopt.recovery_sequence(u, glued))
+@settings(max_examples=15, deadline=None)
+@given(labels=st.lists(st.sampled_from(["insulated", "neumann", "dirichlet"]),
+                       min_size=6, max_size=6),
+       first=st.integers(0, 5),
+       knots=st.lists(st.floats(0.3, 1.5), min_size=2, max_size=6),
+       eps=st.floats(0.002, 0.02), n_t=st.sampled_from([1, 2, 4]),
+       seed=st.integers(0, 2**32 - 1))
+def test_glued_mesh_carries_the_bulk_hierarchy(labels, first, knots, eps,
+                                               n_t, seed):
+    labels[first] = "insulated"
+    domain = PolygonalDomain(LSHAPE, labels)
+    field = build_transversal_field(domain, "bisector")
+    coords = [np.linspace(0.0, comp.length, len(knots),
+                          endpoint=not comp.cyclic)
+              for comp in domain.insulated_components]
+    dist = InsulationDistribution(field, coords,
+                                  [np.array(knots)] * len(coords))
+    # the bulk meshes of every level, finest first, and their glued meshes
+    bulks = [triangulate_bulk(domain, h) for h in (1 / 16, 1 / 8, 1 / 4,
+                                                   1 / 2, 1)]
+    assert [len(b.hierarchy) for b in bulks] == [4, 3, 2, 1, 0]
+    glued = [extrude_layer(b, field, dist, eps, n_t) for b in bulks]
+    assert glued[0].hierarchy is bulks[0].hierarchy
+    levels = list(stencils(glued[0]))
+    assert len(levels) == len(bulks[0].hierarchy)
+    rng = np.random.default_rng(seed)
+    for k, (coarse, rows, cols, weights) in enumerate(levels):
+        # level k + 1 numbers its nodes as the glued mesh of its bulk level
+        # does, and level 0 is the glued mesh itself
+        assert np.array_equal(glued[k].nodes[coarse], glued[k + 1].nodes)
+        free = np.ones(len(glued[k].nodes), dtype=bool)
+        P = prolongation(free, coarse, rows, cols, weights)
+        # the bulk block is the bulk prolongation
+        n_bulk, n_coarse = glued[k].n_bulk_nodes, glued[k + 1].n_bulk_nodes
+        bulk_P = finest_prolongation(bulks[k])[1]
+        assert (P[:n_bulk, :n_coarse] != bulk_P).nnz == 0
+        assert P[:n_bulk, n_coarse:].nnz == 0
+        # P maps the coarse recovery sequence of a bulk field to the fine
+        # recovery sequence of its bulk prolongation
+        u = rng.standard_normal(n_coarse)
+        fine_rec = insulopt.recovery_sequence(bulk_P @ u, glued[k])
+        coarse_rec = insulopt.recovery_sequence(u, glued[k + 1])
+        assert np.abs(P @ coarse_rec - fine_rec).max() <= 1e-14
 
 
 def test_mesh_without_hierarchy_keeps_jacobi():
@@ -119,8 +151,9 @@ def test_limit_solve_converges_in_few_iterations(h, quadrature):
 
 
 @pytest.mark.parametrize("h", [1 / 32, 1 / 64])
-@pytest.mark.parametrize("scale", [1.0, 0.4])
+@pytest.mark.parametrize("scale", [8.0, 4.0, 2.0, 1.0, 0.4])
 def test_thin_layer_solve_converges_in_few_iterations(h, scale):
+    # the layer coarsens with the bulk, so thick layers converge as fast
     field, dist, bulk = lshape(h)
     eps = scale * h
     glued = extrude_layer(bulk, field, dist, eps, n_t=4)
@@ -131,7 +164,7 @@ def test_thin_layer_solve_converges_in_few_iterations(h, scale):
     assert lhs == pytest.approx(t["source"] + t["neumann"], rel=1e-9)
     d = rep.diagnostics
     assert d["transfer_builds"] == d["vcycle_builds"] == 1
-    assert 0 < d["pcg_iterations"] <= 40
+    assert 0 < d["pcg_iterations"] <= 28
 
 
 def random_system(h, glued, frac, rng):

@@ -345,7 +345,7 @@ def test_transfers_are_built_once_per_free_set(monkeypatch):
     # no transfer or V-cycle state is left on the mesh, and the workspace
     # let go of its V-cycles on return
     assert set(vars(mesh)) <= {f.name for f in dataclasses.fields(mesh)}
-    assert set(mesh.stiffness_cache) == {None}
+    assert set(mesh.operator_cache) == {("stiffness", None)}
     gc.collect()
     assert all(ref() is None for ref in vcycles)
 
