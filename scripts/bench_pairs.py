@@ -14,7 +14,9 @@ pairs the change wins (ties count for neither side), and whether a gain may
 be claimed: the change wins at least nine tenths of the pairs and the
 medians differ by more than the parent's interquartile range.  A change
 whose median is worse than the parent's by more than the metric's bound is
-marked as a regression.
+marked as a regression.  A metric whose parent interquartile range exceeds
+the bound times the parent's median cannot resolve the bound, and is marked
+unresolved unless every change run beats every parent run.
 """
 import argparse
 import json
@@ -39,14 +41,18 @@ def summary(metric, parent, change):
     c1, cm, c3 = quartiles(change)
     gain = (pm - cm) if lower else (cm - pm)
     claim = wins >= 0.9 * len(parent) and gain > p3 - p1
-    regression = -gain > metric["bound"] * pm
+    beats_all = (max(change) < min(parent)) if lower else \
+        (min(change) > max(parent))
+    if p3 - p1 > metric["bound"] * pm and not beats_all:
+        verdict = "unresolved"
+    else:
+        verdict = "REGRESSION" if -gain > metric["bound"] * pm else "no"
     rel = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
     return (f"{metric['name']} [{metric['unit']}]: parent median {pm:.4g} "
             f"(quartiles {p1:.4g}-{p3:.4g}), change median {cm:.4g} "
             f"(quartiles {c1:.4g}-{c3:.4g}), {rel}; change wins "
             f"{wins}/{len(parent)}; gain claimable: {'yes' if claim else 'no'}"
-            f"; beyond the {metric['bound']:g} bound: "
-            f"{'REGRESSION' if regression else 'no'}")
+            f"; beyond the {metric['bound']:g} bound: {verdict}")
 
 
 def main(argv=None):

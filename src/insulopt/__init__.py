@@ -14,7 +14,6 @@ from .convergence import (
 )
 from .errors import (
     ConvergenceCheckFailure,
-    DegenerateFiber,
     InsuloptError,
     MeshFailure,
     MeshMismatch,
@@ -54,13 +53,13 @@ from .robin_solver import solve_limit
 from .thickness import reconstruct_distribution, to_normal_thickness
 
 __all__ = [
-    "ConvergenceCheckFailure", "DegenerateFiber", "EnergyReport",
-    "FacetLabel", "GammaSweepReport", "InsulationDistribution",
-    "InsuloptError", "MeshFailure", "MeshMismatch", "ModeInvalid",
-    "NoConvergence", "NonInjectiveLayer", "NonpositiveWeight",
-    "NonUniqueWarning", "PolygonalDomain", "ProblemData", "ProxWorkspace",
-    "SchemaError", "TransversalField", "TransversalityFailure", "TriMesh",
-    "UnknownLabel", "ZeroTrace", "boundary_l1", "build_transversal_field",
+    "ConvergenceCheckFailure", "EnergyReport", "FacetLabel",
+    "GammaSweepReport", "InsulationDistribution", "InsuloptError",
+    "MeshFailure", "MeshMismatch", "ModeInvalid", "NoConvergence",
+    "NonInjectiveLayer", "NonpositiveWeight", "NonUniqueWarning",
+    "PolygonalDomain", "ProblemData", "ProxWorkspace", "SchemaError",
+    "TransversalField", "TransversalityFailure", "TriMesh", "UnknownLabel",
+    "ZeroTrace", "boundary_l1", "build_transversal_field",
     "eval_E_eps", "eval_E_limit", "eval_I", "extrude_layer", "gamma_sweep",
     "insulated_chain", "layer_area", "layer_jacobian", "layer_point",
     "lebesgue_limit_check", "prox_squared_l1", "reconstruct_distribution",

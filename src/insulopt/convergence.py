@@ -36,7 +36,8 @@ def recovery_sequence(u, glued):
 
     Bulk nodes copy ``u``; the fiber node at level l of n_t carries
     u(base) * (1 - l/n_t), the nodal cutoff 1 - t/(eps*d(s)); the outer
-    layer boundary value is exactly zero.
+    layer boundary value is exactly zero, the base of a collapsed fiber
+    included.
     """
     ext = glued.extrusion
     if ext is None:
@@ -47,6 +48,7 @@ def recovery_sequence(u, glued):
     v[:glued.n_bulk_nodes] = u
     fibers, n_t = ext.fibers, ext.n_t
     v[fibers[:, 1:]] = u[fibers[:, :1]] * (n_t - np.arange(1, n_t + 1)) / n_t
+    v[fibers[:, -1]] = 0.0
     return v
 
 
@@ -69,8 +71,6 @@ class GammaSweepReport:
     energy_limit: float
     weighted_mass: float
     pcg_iterations_limit: int  # of the limit solve; not a CSV column
-    orders_solution: list = dc_field(default_factory=list)
-    orders_recovery: list = dc_field(default_factory=list)
     fields: list = dc_field(default_factory=list)
 
     def csv_table(self):
@@ -91,24 +91,14 @@ class GammaSweepReport:
         return csv_lines(*self.csv_table())
 
 
-def _observed_orders(eps_list, gaps):
-    orders = []
-    for i in range(len(eps_list) - 1):
-        ratio = eps_list[i] / eps_list[i + 1]
-        if abs(ratio - 2.0) > 1e-9 or gaps[i + 1] <= 0 or gaps[i] <= 0:
-            orders.append(np.nan)
-        else:
-            orders.append(float(np.log2(gaps[i] / gaps[i + 1])))
-    return orders
-
-
 def gamma_sweep(domain, field, dist, data, eps_list, h, n_t, tol=1e-10,
                 keep_fields=False):
     """Solve the thin-layer problem over a decreasing eps list and compare
     both the solutions and the recovery competitors against the limit.
 
     With ``keep_fields`` the report carries (eps, glued mesh, solution)
-    triples for serialization.
+    triples for serialization.  The limit is solved with the consistent
+    Robin rule, which needs d > 0 (NonpositiveWeight at a zero of d).
     """
     eps_list = list(eps_list)
     if (not eps_list or eps_list[-1] <= 0
@@ -161,8 +151,6 @@ def gamma_sweep(domain, field, dist, data, eps_list, h, n_t, tol=1e-10,
         energy_limit=e_lim,
         weighted_mass=transversal_mass(field, dist),
         pcg_iterations_limit=rep_lim.diagnostics["pcg_iterations"],
-        orders_solution=_observed_orders(eps_list, [r.gap_solution for r in rows]),
-        orders_recovery=_observed_orders(eps_list, [r.gap_recovery for r in rows]),
         fields=fields,
     )
     return report

@@ -49,10 +49,6 @@ class NonInjectiveLayer(GeometryError):
     pass
 
 
-class DegenerateFiber(GeometryError):
-    pass
-
-
 class MeshFailure(GeometryError):
     pass
 

@@ -354,7 +354,9 @@ class InsulationDistribution:
         comps = self.domain.insulated_components
         if len(self.component_coords) != len(comps):
             raise InvalidDomain("one nodal array per insulated component required")
-        for vals in self.component_values:
+        for coords, vals in zip(self.component_coords, self.component_values):
+            if not (np.all(np.isfinite(coords)) and np.all(np.isfinite(vals))):
+                raise InvalidDomain("thickness samples must be finite")
             if np.any(vals < 0):
                 raise InvalidDomain("thickness must be non-negative")
             if self.d_min > 0 and np.any(vals < self.d_min):
@@ -380,6 +382,8 @@ class InsulationDistribution:
         """Nodal profile given at global arc coordinates (e.g. from CSV)."""
         arcs = np.asarray(arcs, dtype=float)
         values = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(arcs)):
+            raise InvalidDomain("thickness samples must be finite")
         order = np.argsort(arcs)
         arcs, values = arcs[order], values[order]
         domain = field.domain

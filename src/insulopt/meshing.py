@@ -13,18 +13,22 @@ splits each one in place.  The insulating layer is extruded along the
 transversal field from the insulated boundary nodes and glued conformingly.
 
 Glued layout: the bulk nodes and triangles come first, unchanged, so bulk
-indices are a stable prefix.  Then, per extruded insulated component, a
-block of n_chain x n_t fiber nodes follows in fiber-major order (chain node
-j, levels 1..n_t), and its layer triangles follow segment by segment; a
-component with zero thickness throughout gets no block.  Boundary edges are
-the kept bulk edges, then the top edges, then the side edges.  The table
-``fibers[j, l]`` (level 0 is the bulk node) is the one description of the
-layer: every layer consumer (recovery sequence, fiber Poincare check, layer
-offsets, the multigrid levels of the layer) indexes it instead of walking
-nodes.  Since the bulk is a prefix, a glued mesh carries the bulk hierarchy
-and the bulk's insulated chain as they are, and it keeps its bulk mesh
-(``TriMesh.bulk``), whose operators are its bulk operators; its layer edges
-have NaN lam.
+indices are a stable prefix.  The thickness d >= 0 may vanish: a fiber over
+a chain node with d = 0 collapses onto its base node.  The other fibers add
+n_t nodes each, numbered fiber-major after the bulk (chain node j, levels
+1..n_t, in chain order), and the layer triangles follow segment by segment;
+a quad next to a collapsed fiber keeps only its non-degenerate triangle.
+The interface is every insulated bulk edge.  Boundary edges are the other
+bulk edges, then the top edges, then the side edges; the top edges put
+every collapsed base in the zero-trace set, and between two collapsed
+fibers the top edge is the bulk edge itself.  The table ``fibers[j, l]``
+(level 0 is the bulk node; a collapsed fiber repeats it) is the one
+description of the layer: every layer consumer (recovery sequence, fiber
+Poincare check, layer offsets, the multigrid levels of the layer) indexes
+it instead of walking nodes.  Since the bulk is a prefix, a glued mesh
+carries the bulk hierarchy and the bulk's insulated chain as they are, and
+it keeps its bulk mesh (``TriMesh.bulk``), whose operators are its bulk
+operators; its layer edges have NaN lam.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .errors import DegenerateFiber, MeshFailure, NonInjectiveLayer
+from .errors import MeshFailure, NonInjectiveLayer
 from .geometry import FacetLabel, _lumped_weights
 
 BULK = 0
@@ -100,12 +104,9 @@ class ExtrusionInfo:
     eps: float
     n_t: int
     layer_t: np.ndarray      # fiber offset, NaN outside fibers
-    fiber_nodes: list        # per component: (n_chain, n_t+1) node id array
-
-    @property
-    def fibers(self):
-        """(N, n_t+1) node ids of all fibers, components in chain order."""
-        return _rows(self.fiber_nodes, self.n_t + 1)
+    # (N, n_t+1) node ids of the fibers over the chain nodes, in chain
+    # order; a collapsed fiber repeats its base node
+    fibers: np.ndarray
 
 
 @dataclass
@@ -344,82 +345,71 @@ def extrude_layer(bulk, field, dist, eps, n_t):
 
     Each insulated boundary node spawns a fiber of ``n_t`` segments along
     eps*d(s)*k(s); quads between adjacent fibers are split along the diagonal
-    from the lower-s, lower-t corner.  Insulated components with identically
-    zero thickness are skipped and their edges become part of the zero-trace
-    set; a component whose thickness vanishes only somewhere is rejected.
+    from the lower-s, lower-t corner.  Where d = 0 the fiber collapses onto
+    its base node, which joins the zero-trace set, and the triangles and side
+    edges that would repeat a node are dropped; a component with d = 0
+    throughout adds no cells, and its edges become the zero-trace set.
     """
     if bulk.extrusion is not None:
         raise MeshFailure("mesh already carries a layer")
     if eps <= 0 or n_t < 1:
         raise ValueError("eps must be positive and n_t >= 1")
-    domain = bulk.domain
-    chain = insulated_chain(bulk, field)
+    chain = insulated_chain(bulk)
+    comps = chain.components
+    d = chain.thickness(dist)
+    live = d > 0
 
     # fibers[j, l]: node at level l of the fiber over chain node j; level 0
-    # is the bulk node, levels 1..n_t are numbered fiber-major after the bulk
-    levels = np.arange(1, n_t + 1)
-    next_id = len(bulk.nodes)
-    skipped_facets = []
-    fiber_nodes, points, offsets, tris, top, side = [], [], [], [], [], []
-    for ci, cc in enumerate(chain.components):
-        d = dist.value_at(ci, cc.coords)
-        # adjacent facets share their corner node, so a zero thickness
-        # skips the whole component or is a degenerate fiber
-        zero = d == 0.0
-        if zero.all():
-            skipped_facets.extend(domain.insulated_components[ci].facets)
-            fiber_nodes.append(np.zeros((0, n_t + 1), dtype=int))
-            continue
-        if zero.any():
-            raise DegenerateFiber(
-                f"zero thickness at insulated boundary node "
-                f"{cc.nodes[zero][0]} of a component with non-zero thickness")
-        n = len(cc.nodes)
-        fibers = np.empty((n, n_t + 1), dtype=int)
-        fibers[:, 0] = cc.nodes
-        fibers[:, 1:] = next_id + np.arange(n * n_t).reshape(n, n_t)
-        next_id += n * n_t
-        fiber_nodes.append(fibers)
-
-        k = field.k_at(cc.node_facet, cc.node_lam)
-        t = (eps * d)[:, None] * levels / n_t
-        points.append((bulk.nodes[cc.nodes][:, None, :]
-                       + t[:, :, None] * k[:, None, :]).reshape(-1, 2))
-        offsets.append(t)
-
-        seg = np.arange(n if cc.cyclic else n - 1)
-        lo, hi = fibers[seg], fibers[(seg + 1) % n]
-        a0, a1, b0, b1 = lo[:, :-1], lo[:, 1:], hi[:, :-1], hi[:, 1:]
-        tris.append(np.stack([a0, b1, b0, a0, a1, b1], axis=-1).reshape(-1, 3))
-        top.append(np.stack([lo[:, -1], hi[:, -1]], axis=1))
-        if not cc.cyclic:
-            ends = fibers[[0, -1]]
-            side.append(np.stack([ends[:, :-1], ends[:, 1:]], axis=-1)
-                        .swapaxes(0, 1).reshape(-1, 2))
-
-    nodes = np.concatenate([bulk.nodes, *points])
-    layer_tris = _rows(tris, 3)
-    all_fibers = _rows(fiber_nodes, n_t + 1)
+    # is the bulk node, the levels 1..n_t of the live fibers are numbered
+    # fiber-major after the bulk
+    n_live = int(np.count_nonzero(live))
+    fibers = np.repeat(chain.nodes[:, None], n_t + 1, axis=1)
+    fibers[live, 1:] = len(bulk.nodes) + np.arange(n_live * n_t).reshape(
+        n_live, n_t)
+    t = (eps * d)[:, None] * np.arange(1, n_t + 1) / n_t
+    facets = np.concatenate([cc.node_facet for cc in comps])
+    lams = np.concatenate([cc.node_lam for cc in comps])
+    k = field.k_at(facets[live], lams[live])
+    nodes = np.concatenate([bulk.nodes, (
+        bulk.nodes[chain.nodes[live]][:, None, :]
+        + t[live][:, :, None] * k[:, None, :]).reshape(-1, 2)])
     layer_t = np.full(len(nodes), np.nan)
-    layer_t[all_fibers[:, 0]] = 0.0
-    layer_t[all_fibers[:, 1:]] = _rows(offsets, n_t)
+    layer_t[fibers[:, 1:]] = t
+    layer_t[fibers[:, 0]] = 0.0
 
-    # boundary bookkeeping: extruded insulated edges become the interface,
-    # then the top edges and the side edges of the layer are appended
-    bfacet = bulk.boundary_facet
-    insulated = bulk.label_mask(FacetLabel.INSULATED)
-    iface = insulated & ~np.isin(bfacet, skipped_facets)
-    top, side = _rows(top, 2), _rows(side, 2)
+    # the segments j -> nxt[j] of the chain, component by component; an
+    # open component has none from its last node, and has two ends
+    sizes = np.array([len(cc.nodes) for cc in comps])
+    is_open = ~np.array([cc.cyclic for cc in comps])
+    first = np.cumsum(sizes) - sizes
+    last = first + sizes - 1
+    nxt = np.arange(1, len(fibers) + 1)
+    nxt[last] = first
+    seg = np.ones(len(fibers), dtype=bool)
+    seg[last[is_open]] = False
+    lo, hi = fibers[seg], fibers[nxt[seg]]
+    a0, a1, b0, b1 = lo[:, :-1], lo[:, 1:], hi[:, :-1], hi[:, 1:]
+    # a triangle repeats a node exactly where its fiber edge has collapsed
+    layer_tris = np.stack([a0, b1, b0, a0, a1, b1], axis=-1).reshape(-1, 3)[
+        np.stack([b0 != b1, a0 != a1], axis=-1).ravel()]
+    top = np.stack([lo[:, -1], hi[:, -1]], axis=1)
+    ends = fibers[np.stack([first, last], axis=1)[is_open]]
+    side = np.stack([ends[..., :-1], ends[..., 1:]], axis=-1).swapaxes(
+        1, 2).reshape(-1, 2)
+    side = side[side[:, 0] != side[:, 1]]
 
+    # every insulated bulk edge is interface; the top and side edges of the
+    # layer follow the other bulk edges
+    iface = bulk.label_mask(FacetLabel.INSULATED)
     glued = TriMesh(
-        domain=domain,
+        domain=bulk.domain,
         nodes=nodes,
         tris=np.concatenate([bulk.tris, layer_tris]),
         region=np.concatenate([bulk.region,
                                np.full(len(layer_tris), LAYER, dtype=np.uint8)]),
         boundary_edges=np.concatenate([bulk.boundary_edges[~iface], top, side]),
         boundary_facet=np.concatenate([
-            np.where(insulated, LAYER_TOP, bfacet)[~iface],
+            bulk.boundary_facet[~iface],
             np.full(len(top), LAYER_TOP), np.full(len(side), LAYER_SIDE)]),
         boundary_lam=np.concatenate([
             bulk.boundary_lam[~iface],
@@ -427,7 +417,7 @@ def extrude_layer(bulk, field, dist, eps, n_t):
         n_bulk_nodes=len(bulk.nodes),
         n_bulk_tris=bulk.n_bulk_tris,
         extrusion=ExtrusionInfo(eps=eps, n_t=n_t, layer_t=layer_t,
-                                fiber_nodes=fiber_nodes),
+                                fibers=fibers),
         hierarchy=bulk.hierarchy,
     )
     glued.chain_cache, glued.bulk = bulk.chain_cache, bulk
@@ -436,8 +426,3 @@ def extrude_layer(bulk, field, dist, eps, n_t):
             "extruded layer contains inverted cells; eps exceeds the "
             "injectivity threshold of this mesh")
     return glued
-
-
-def _rows(blocks, width):
-    """Row-wise concatenation of (., width) blocks; (0, width) when none."""
-    return np.concatenate([np.zeros((0, width), dtype=int), *blocks])

@@ -10,8 +10,9 @@ from fine to coarse, each level has:
   layer with the bulk: every level keeps the fibers over the chain nodes of
   its bulk level, a fiber over a coarse chain node is injected, and the
   fiber over a boundary midpoint takes 1/2 of each parent's fiber at the
-  same fiber level.  So the coarse nodes are listed explicitly
-  (``stencils``);
+  same fiber level.  A level numbers only its live fibers: a collapsed
+  fiber (d = 0) is its base node, which is fixed.  So the coarse nodes are
+  listed explicitly (``stencils``);
 * only the free rows and columns of P, so a coarse node is fixed when the
   fine node injected into it is fixed, and the Galerkin coarse operator
   P^T A P;
@@ -54,31 +55,36 @@ def stencils(mesh):
     Yields (coarse, rows, cols, weights) per level: coarse node i is fine
     node ``coarse[i]``, and fine node ``rows[k]`` takes ``weights[k]``
     times coarse node ``cols[k]``.  A level of a glued mesh numbers its
-    bulk nodes first, then the levels 1..n_t of the fibers over its chain
-    nodes, fiber by fiber in the order of ``ExtrusionInfo.fibers``.
+    bulk nodes first, then the levels 1..n_t of the live fibers over its
+    chain nodes, fiber by fiber in the order of ``ExtrusionInfo.fibers``.
+    A collapsed parent fiber enters ``cols`` as its base node, which every
+    glued solve fixes, so ``prolongation`` drops the entry.
     """
     ext = mesh.extrusion
     fibers = np.zeros((0, 1), dtype=int) if ext is None else ext.fibers
     n_t = fibers.shape[1] - 1
     base = fibers[:, 0]
+    live = fibers[:, -1] != base
     row_of = np.full(mesh.n_bulk_nodes, -1)  # the fiber over a bulk node
     row_of[base] = np.arange(len(fibers))
     levels = np.arange(n_t)
 
     def layer_ids(n, rows):
         """Level ids of the fiber nodes of ``rows`` on the level with n bulk
-        nodes, (len(rows), n_t)."""
-        rank = np.cumsum(base < n) - 1
-        return n + (rank[rows] * n_t)[:, None] + levels
+        nodes, (len(rows), n_t); a collapsed fiber's are its base node."""
+        rank = np.cumsum(live & (base < n)) - 1
+        return np.where(live[rows, None],
+                        n + (rank[rows] * n_t)[:, None] + levels,
+                        base[rows, None])
 
     n = mesh.n_bulk_nodes
     for parents in reversed(mesh.hierarchy):
         n_coarse = n - len(parents)
-        kept = np.flatnonzero(base < n_coarse)
+        kept = np.flatnonzero(live & (base < n_coarse))
         coarse = np.concatenate([np.arange(n_coarse),
                                  layer_ids(n, kept).ravel()])
-        # a fiber over a midpoint takes half of each parent's fiber
-        mid = np.flatnonzero((base >= n_coarse) & (base < n))
+        # a live fiber over a midpoint takes half of each parent's fiber
+        mid = np.flatnonzero(live & (base >= n_coarse) & (base < n))
         ends = row_of[parents[base[mid] - n_coarse]]
         rows = np.concatenate([np.repeat(np.arange(n_coarse, n), 2),
                                np.repeat(layer_ids(n, mid), 2, axis=0).ravel()])

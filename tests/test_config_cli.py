@@ -258,6 +258,15 @@ def test_cli_nodal_csv_distribution(tmp_path, capsys):
     assert np.isfinite(terms["E_LIMIT"][0])
 
 
+def test_cli_nodal_csv_nonfinite_thickness_is_a_geometry_error(tmp_path,
+                                                               capsys):
+    csv = tmp_path / "profile.csv"
+    csv.write_text("1.0,0.5\n1.5,nan\n2.0,0.5\n")
+    cfg = json.loads(json.dumps(PSEUDO1D))
+    cfg["distribution"] = {"type": "nodal_csv", "path": str(csv)}
+    assert run_cli(tmp_path, cfg, "solve-eps") == 2
+
+
 def test_cli_per_triangle_source_csv(tmp_path, capsys):
     from insulopt.geometry import PolygonalDomain
     from insulopt.meshing import triangulate_bulk

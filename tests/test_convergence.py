@@ -17,6 +17,7 @@ from insulopt.errors import (
     ConvergenceCheckFailure,
     MeshMismatch,
     NonInjectiveLayer,
+    NonpositiveWeight,
     SolverError,
 )
 from insulopt.fem import ProblemData
@@ -26,10 +27,11 @@ from insulopt.geometry import (
     build_transversal_field,
     transversal_mass,
 )
-from insulopt.meshing import extrude_layer
+from insulopt.layer_solver import solve_eps
+from insulopt.meshing import extrude_layer, insulated_chain, triangulate_bulk
 from insulopt.robin_solver import solve_limit
 
-from conftest import NOTCHED, pseudo1d_setup
+from conftest import LSHAPE, NOTCHED, pseudo1d_setup
 
 
 def test_recovery_values_along_fiber():
@@ -39,12 +41,11 @@ def test_recovery_values_along_fiber():
     u, _ = solve_limit(mesh, field, dist, data, tol=1e-12)
     v = recovery_sequence(u, glued)
     ext = glued.extrusion
-    for fibers in ext.fiber_nodes:
-        for row in fibers:
-            base = u[row[0]]
-            assert v[row[0]] == base                      # t = 0 copies u
-            assert v[row[1]] == pytest.approx(base / 2)   # mid layer, n_t = 2
-            assert v[row[2]] == 0.0                       # outer boundary
+    for row in ext.fibers:
+        base = u[row[0]]
+        assert v[row[0]] == base                      # t = 0 copies u
+        assert v[row[1]] == pytest.approx(base / 2)   # mid layer, n_t = 2
+        assert v[row[2]] == 0.0                       # outer boundary
 
 
 def test_recovery_needs_glued_mesh():
@@ -204,3 +205,30 @@ def test_harness_checks_survive_python_O(name, value):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised"), proc.stdout
     assert issubclass(ConvergenceCheckFailure, SolverError)  # CLI exit code 3
+
+
+@pytest.mark.filterwarnings("ignore::insulopt.errors.NonUniqueWarning")
+def test_optimal_design_with_zeros_runs_the_whole_pipeline():
+    # reduce -> reconstruct -> extrude -> thin-layer solve on the
+    # all-insulated L-shape, whose optimal thickness has exact zeros
+    domain = PolygonalDomain(LSHAPE, ["insulated"] * 6)
+    field = build_transversal_field(domain, "bisector")
+    data = ProblemData(f=1.0)
+    h, m = 1 / 32, 0.5
+    mesh = triangulate_bulk(domain, h)
+    u, rep = insulopt.solve_reduced(mesh, m, data, method="proxgrad")
+    d = insulopt.reconstruct_distribution(mesh, u, m, field)
+    assert np.count_nonzero(insulated_chain(mesh).thickness(d) == 0) == 9
+    # the double-min identity E_lim,lumped(d*) = I(u*)
+    limit = insulopt.eval_E_limit(mesh, u, field, d, data, interface="lumped")
+    assert limit.total == pytest.approx(rep.total, rel=1e-12, abs=0)
+    # and E_eps(d*) -> I(u*) at first order as eps -> 0 at fixed h
+    gaps = []
+    for eps in h * np.array([8, 4, 2, 1, 0.5, 0.25]):
+        glued = extrude_layer(mesh, field, d, eps, 4)
+        _, rep_eps = solve_eps(glued, eps, data)
+        gaps.append(abs(rep_eps.total - rep.total))
+    assert min(a / b for a, b in zip(gaps, gaps[1:])) >= 1.7
+    # the sweep's consistent limit still needs d > 0
+    with pytest.raises(NonpositiveWeight):
+        gamma_sweep(domain, field, d, data, [8 * h, h], h, 4)

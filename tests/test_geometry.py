@@ -206,9 +206,20 @@ def test_distribution_floor_enforced(square_bisector):
             d_min=0.5)
 
 
-def test_distribution_negative_rejected(square_bisector):
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+def test_distribution_negative_rejected(square_bisector, value):
     with pytest.raises(InvalidDomain):
-        InsulationDistribution.constant(square_bisector, -1.0)
+        InsulationDistribution.constant(square_bisector, value)
+
+
+@pytest.mark.parametrize("coord", [np.nan, np.inf])
+def test_distribution_nonfinite_coordinates_rejected(square_bisector, coord):
+    with pytest.raises(InvalidDomain):
+        InsulationDistribution(square_bisector, [np.array([0.0, 1.0, coord])],
+                               [np.ones(3)])
+    with pytest.raises(InvalidDomain):  # a sampled profile's arcs
+        InsulationDistribution.from_arc_samples(
+            square_bisector, [0.5, 1.5, coord], [1.0, 1.0, 1.0])
 
 
 def test_cyclic_profile_wraps_below_the_first_node(square_bisector):

@@ -6,15 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from insulopt import meshing
-from insulopt.convergence import gamma_sweep
-from insulopt.errors import DegenerateFiber, NonInjectiveLayer
-from insulopt.fem import ProblemData
+from insulopt.convergence import gamma_sweep, recovery_sequence
+from insulopt.errors import NonInjectiveLayer
+from insulopt.fem import (
+    ProblemData,
+    apply_dirichlet,
+    assemble_load,
+    assemble_neumann,
+    dirichlet_nodes,
+    solve_spd,
+    stiffness,
+)
 from insulopt.geometry import (
     InsulationDistribution,
     PolygonalDomain,
     build_transversal_field,
     layer_area,
 )
+from insulopt.layer_solver import solve_eps
 from insulopt.meshing import (
     BULK,
     LAYER,
@@ -24,6 +33,8 @@ from insulopt.meshing import (
     insulated_chain,
     triangulate_bulk,
 )
+from insulopt.reduced_solver import solve_reduced
+from insulopt.thickness import reconstruct_distribution
 
 from conftest import LSHAPE, NOTCHED, SQUARE, pseudo1d_domain
 
@@ -328,11 +339,12 @@ def test_glued_mesh_conforming(case, n_t, knots, eps):
     assert np.all(np.diff(ext.layer_t[fibers], axis=1) > 0)
     # reference: x_j + ((eps d_j) l / n_t) k_j, one fiber node at a time
     chain = insulated_chain(mesh)
+    rows = iter(ext.fibers)
     for ci, cc in enumerate(chain.components):
         d = dist.value_at(ci, cc.coords)
         for j, node in enumerate(cc.nodes):
             k = field.k_at(cc.node_facet[j], cc.node_lam[j])[0]
-            row = ext.fiber_nodes[ci][j]
+            row = next(rows)
             assert row[0] == node
             for lev in range(1, n_t + 1):
                 expected = mesh.nodes[node] + eps * d[j] * lev / n_t * k
@@ -370,19 +382,58 @@ def test_layer_area_consistency_order(square_all_insulated):
     assert min(orders) >= 1.8
 
 
-def test_zero_node_raises_degenerate_fiber():
+def check_collapsed_layer(glued, eps, data):
+    """Checks of a glued mesh whose thickness vanishes at some chain nodes;
+    returns the collapsed bases and the solve_eps field and report."""
+    fibers = glued.extrusion.fibers
+    collapsed = fibers[:, -1] == fibers[:, 0]
+    base = fibers[collapsed, 0]
+    assert len(base) and np.all(fibers[collapsed].T == base)
+    n_live = len(fibers) - len(base)
+    assert len(glued.nodes) == glued.n_bulk_nodes + n_live * (fibers.shape[1] - 1)
+    assert np.all(glued.signed_areas() > 0)
+    assert np.all(np.diff(np.sort(glued.tris, axis=1), axis=1) != 0)
+    # conforming: boundary edges bound one triangle, the others two
+    edges = edge_multiset(glued)
+    boundary = {tuple(sorted(e)) for e in map(tuple, glued.boundary_edges)}
+    assert len(boundary) == len(glued.boundary_edges)
+    for e, count in edges.items():
+        assert count == (1 if e in boundary else 2)
+    # every collapsed base is on the outer layer boundary, so it is fixed
+    assert np.all(np.isin(base, glued.marker_edges(LAYER_TOP)))
+    fixed, lift = dirichlet_nodes(glued, data)
+    assert fixed[base].all()
+    u, rep = solve_eps(glued, eps, data)
+    A = stiffness(glued, BULK) + eps * stiffness(glued, LAYER)
+    b = assemble_load(glued, data.f) + assemble_neumann(glued, data)
+    reference = lift.copy()  # Jacobi-preconditioned CG
+    reference[~fixed] = solve_spd(*apply_dirichlet(A, b, fixed, lift),
+                                  tol=1e-12)
+    assert np.abs(u - reference).max() <= 1e-12
+    assert np.array_equal(u[base], lift[base])
+    assert rep.diagnostics["zero_trace_violation"] == 0.0
+    return base, u, rep
+
+
+def test_zero_node_collapses_its_fiber():
     domain = pseudo1d_domain()
     field = build_transversal_field(domain, "facet_normal")
     mesh = triangulate_bulk(domain, 0.25)
-    comp = field.domain.insulated_components[0]
     coords = np.array([0.0, 0.5, 1.0])
     dist = InsulationDistribution(field, [coords], [np.array([1.0, 0.0, 1.0])])
-    with pytest.raises(DegenerateFiber):
-        extrude_layer(mesh, field, dist, eps=0.1, n_t=2)
+    glued = extrude_layer(mesh, field, dist, eps=0.1, n_t=2)
+    base, u, _ = check_collapsed_layer(glued, 0.1,
+                                       ProblemData(f=1.0, u_D=1.0))
+    # the one zero is the midpoint of the insulated facet x = 1
+    assert np.array_equal(glued.nodes[base], [[1.0, 0.5]])
+    assert u[base] == 0.0
+    # each quad next to the collapsed fiber keeps one triangle per level
+    assert np.count_nonzero(glued.region == LAYER) == 4 * 2 * 2 - 2 * 2
+    v = recovery_sequence(u[:mesh.n_bulk_nodes], glued)
+    assert v[base] == 0.0
 
 
-def test_zero_facet_next_to_nonzero_facets_raises_degenerate_fiber(
-        lshape_all_insulated):
+def test_zero_facet_next_to_nonzero_facets_collapses(lshape_all_insulated):
     field = build_transversal_field(lshape_all_insulated, "bisector")
     mesh = triangulate_bulk(lshape_all_insulated, 1 / 8)
     comp = lshape_all_insulated.insulated_components[0]
@@ -390,8 +441,37 @@ def test_zero_facet_next_to_nonzero_facets_raises_degenerate_fiber(
     coords = np.array([comp.facet_offsets[f] for f in comp.facets])
     values = np.where(np.isin(comp.facets, [2, 3]), 0.0, 1.0)
     dist = InsulationDistribution(field, [coords], [values])
-    with pytest.raises(DegenerateFiber):
-        extrude_layer(mesh, field, dist, eps=0.05, n_t=2)
+    glued = extrude_layer(mesh, field, dist, eps=0.05, n_t=2)
+    base, _, _ = check_collapsed_layer(glued, 0.05, ProblemData(f=1.0))
+    # facet 2 collapses onto itself: its nodes are the collapsed bases, and
+    # its edges are top edges
+    facet2 = mesh.boundary_edges[mesh.boundary_facet == 2]
+    assert np.array_equal(np.sort(base), np.unique(facet2))
+    top = glued.marker_edges(LAYER_TOP)
+    assert np.count_nonzero(np.all(np.isin(top, base), axis=1)) == len(facet2)
+
+
+@pytest.mark.filterwarnings("ignore::insulopt.errors.NonUniqueWarning")
+@pytest.mark.parametrize("dirichlet,m,zeros", [(False, 0.5, 9), (True, 1.0, 3)])
+def test_optimal_designs_with_zeros_extrude_and_solve(dirichlet, m, zeros):
+    # the reduced problem's optimal thickness on the L-shape (f = 1), all
+    # insulated or with facet 2 Dirichlet, vanishes at some chain nodes
+    labels = ["insulated"] * 6
+    if dirichlet:
+        labels[2] = "dirichlet"
+    domain = PolygonalDomain(LSHAPE, labels)
+    field = build_transversal_field(domain, "bisector")
+    data = ProblemData(f=1.0)
+    h = 1 / 32
+    mesh = triangulate_bulk(domain, h)
+    u, _ = solve_reduced(mesh, m, data, method="proxgrad")
+    dist = reconstruct_distribution(mesh, u, m, field)
+    assert np.count_nonzero(insulated_chain(mesh).thickness(dist) == 0) == zeros
+    for eps in (8 * h, h):
+        glued = extrude_layer(mesh, field, dist, eps, n_t=4)
+        base, _, rep = check_collapsed_layer(glued, eps, data)
+        assert len(base) == zeros
+        assert rep.diagnostics["pcg_iterations"] <= 28
 
 
 def test_whole_facet_zero_skipped_becomes_zero_trace():
