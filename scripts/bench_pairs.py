@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Compare one workload of the benchmark between two checkouts, in pairs.
+"""Compare the benchmark's workloads between two checkouts, in pairs.
 
     python3 scripts/bench_pairs.py --workload alternating_lshape \\
         --parent ../parent-tree --pairs 10
+    python3 scripts/bench_pairs.py --parent ../parent-tree --pairs 10
+
+Without ``--workload`` every workload of this checkout's ``BENCHMARK.json``
+is compared, in its order, each as below with its own summary block.
 
 Pair k runs ``perfbench/run.py --trace 0 --seed k`` (k = 1 .. pairs) once
 in the parent checkout and once in this one, one run at a time; the parent
 runs first on odd seeds and second on even ones.  The run length is the
 ``run_seconds`` of this checkout's ``BENCHMARK.json``.  Each pair prints
 one line with both sides' metrics and failed counts, so a failed run names
-its seed and side.  For every end-to-end metric the script prints each side's median and quartiles, the
-pairs the change wins (ties count for neither side), and whether a gain may
-be claimed: the change wins at least nine tenths of the pairs and the
+its seed and side.  For every end-to-end metric the script prints each
+side's median and quartiles, the pairs the change wins (ties count for
+neither side), and whether a gain may be claimed: the change wins at least nine tenths of the pairs and the
 medians differ by more than the parent's interquartile range.  A change
 whose median is worse than the parent's by more than the metric's bound is
 marked as a regression.  A metric whose parent interquartile range exceeds
@@ -55,25 +59,17 @@ def summary(metric, parent, change):
             f"; beyond the {metric['bound']:g} bound: {verdict}")
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--parent", type=Path, required=True,
-                    help="checkout of the parent commit")
-    ap.add_argument("--pairs", type=int, default=10)
-    args = ap.parse_args(argv)
-
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+def compare(spec, workload, parent, pairs):
+    """Run ``pairs`` pairs of one workload and print them and a summary."""
     seconds = spec["run_seconds"]
-    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    sides = {"parent": parent, "change": ROOT}
     values = {side: {m["name"]: [] for m in spec["end_to_end"]}
               for side in sides}
     failed = {side: [] for side in sides}
-    for seed in range(1, args.pairs + 1):
+    for seed in range(1, pairs + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args.workload, seed,
-                              seconds)["result"]
+            result = run_once(sides[side], workload, seed, seconds)["result"]
             failed[side].append(result["failed"])
             for name, series in values[side].items():
                 series.append(result["metrics"][name]["value"])
@@ -83,12 +79,28 @@ def main(argv=None):
             for name in values["parent"])
             + f", failed {failed['parent'][-1]} -> {failed['change'][-1]}",
             flush=True)
-    print(f"{args.workload}, {args.pairs} pairs of {seconds:g} s runs; "
+    print(f"{workload}, {pairs} pairs of {seconds:g} s runs; "
           f"failed: parent {sum(failed['parent'])}, "
           f"change {sum(failed['change'])}")
     for metric in spec["end_to_end"]:
         print(summary(metric, values["parent"][metric["name"]],
-                      values["change"][metric["name"]]))
+                      values["change"][metric["name"]]), flush=True)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload",
+                    help="one workload (default: every workload in order)")
+    ap.add_argument("--parent", type=Path, required=True,
+                    help="checkout of the parent commit")
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = ([args.workload] if args.workload
+             else [w["name"] for w in spec["workloads"]])
+    for name in names:
+        compare(spec, name, args.parent.resolve(), args.pairs)
     return 0
 
 

@@ -1,11 +1,13 @@
 """Run configuration: strict JSON schema with dataclass carriers.
 
-Unknown keys are rejected with the dotted path of the offender; a re-parsed
-serialization reproduces the configuration exactly.
+Unknown keys and non-finite numbers (JSON's NaN and Infinity) are rejected
+with the dotted path of the offender; a re-parsed serialization reproduces
+the configuration exactly.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import SchemaError
@@ -115,6 +117,7 @@ def _integer(obj):
 def _number(obj, path, positive=False):
     _expect(isinstance(obj, (int, float)) and not isinstance(obj, bool),
             path, "expected a number")
+    _expect(math.isfinite(obj), path, "must be finite")
     if positive:
         _expect(obj > 0, path, "must be positive")
     return float(obj)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConvergenceCheckFailure, MeshMismatch
-from .fem import assemble_load, eval_E_eps
+from .fem import eval_E_eps
 from .geometry import (
     _GAUSS_W,
     _arc_gauss_nodes,
@@ -108,19 +108,14 @@ def gamma_sweep(domain, field, dist, data, eps_list, h, n_t, tol=1e-10,
     bulk = triangulate_bulk(domain, h)
     u_lim, rep_lim = solve_limit(bulk, field, dist, data, tol=tol)
     e_lim = rep_lim.total
-    # the glued meshes' bulk triangles are the bulk's, so their load is the
-    # bulk's, padded with zeros over the layer
-    bulk_load = assemble_load(bulk, data.f)
 
     rows = []
     fields = []
     for eps in eps_list:
         glued = extrude_layer(bulk, field, dist, eps, n_t)
-        load = np.zeros(len(glued.nodes))  # the solve and both energies
-        load[:len(bulk_load)] = bulk_load
-        u_eps, rep_eps = solve_eps(glued, eps, data, tol=tol, load=load)
+        u_eps, rep_eps = solve_eps(glued, eps, data, tol=tol)
         v_rec = recovery_sequence(u_lim, glued)
-        rep_rec = eval_E_eps(glued, v_rec, eps, data, load=load)
+        rep_rec = eval_E_eps(glued, v_rec, eps, data)
         e_sol, e_rec = rep_eps.total, rep_rec.total
         if keep_fields:
             fields.append((eps, glued, u_eps))

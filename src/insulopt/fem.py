@@ -15,6 +15,11 @@ the same, in the same order, over the same node prefix, so the bulk mesh's
 matrix padded with empty rows and columns (``_padded``, which shares its
 arrays) equals the glued assembly bit for bit.
 
+Every assembly reads the triangle areas stored on the mesh
+(``TriMesh.areas``), and no caller passes a load in: ``assemble_load`` is
+one ``np.bincount`` of f * area / 3 over the bulk triangles' corners, cheap
+enough to form wherever a solve or an energy needs it.
+
 The fixed nodes of a solve have one form: ``dirichlet_nodes`` returns a
 boolean node mask ``fixed`` and a ``lift``, the field holding u_D at the
 Dirichlet nodes and zero elsewhere.  It is built once per solve; a loop
@@ -62,6 +67,7 @@ from .errors import (
     MeshMismatch,
     NoConvergence,
     NonpositiveWeight,
+    SchemaError,
     UnknownLabel,
 )
 from .geometry import FacetLabel
@@ -95,6 +101,11 @@ class ProblemData:
         return float(spec)
 
     def validate(self, domain):
+        for spec, key in ((self.f, "data.f"), (self.g, "data.g"),
+                          (self.u_D, "data.u_D")):
+            values = list(spec.values()) if isinstance(spec, dict) else spec
+            if not np.all(np.isfinite(values)):
+                raise SchemaError(key, "must be finite")
         for spec, label in ((self.g, FacetLabel.NEUMANN),
                             (self.u_D, FacetLabel.DIRICHLET)):
             if isinstance(spec, dict):
@@ -110,17 +121,6 @@ class EnergyReport:
     terms: dict
     total: float
     diagnostics: dict = dc_field(default_factory=dict)
-
-
-def _tri_geometry(mesh, tris=slice(None)):
-    """Gradient coefficients b, c and the areas of the triangles
-    ``mesh.tris[tris]``."""
-    p = mesh.nodes[mesh.tris[tris]]
-    x, y = p[..., 0], p[..., 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area2 = x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2]
-    return b, c, 0.5 * area2
 
 
 def _scatter(mesh, mask, ke):
@@ -139,10 +139,12 @@ def assemble_stiffness(mesh, coeff=1.0, region=None):
     if coeff < 0:
         raise ValueError("stiffness coefficient must be non-negative")
     mask = slice(None) if region is None else mesh.region == region
-    b, c, area = (x.T for x in _tri_geometry(mesh, mask))
+    x, y = mesh.nodes[mesh.tris[mask]].T  # (3, T) corner coordinates
+    b = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
+    c = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
     ke = b[:, None] * b[None]  # built in place: assembly sets peak memory
     ke += c[:, None] * c[None]
-    ke *= coeff / (4.0 * area)
+    ke *= coeff / (4.0 * mesh.areas[mask])
     K = _scatter(mesh, mask, ke)
     # right angles leave exact zeros (cot 90 deg) that every product would
     # visit
@@ -153,9 +155,8 @@ def assemble_stiffness(mesh, coeff=1.0, region=None):
 def assemble_mass(mesh, region=None):
     """Consistent P1 mass matrix, optionally restricted to one region."""
     mask = slice(None) if region is None else mesh.region == region
-    _, _, area = _tri_geometry(mesh, mask)
     local = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
-    return _scatter(mesh, mask, local[:, :, None] * area)
+    return _scatter(mesh, mask, local[:, :, None] * mesh.areas[mask])
 
 
 def stiffness(mesh, region=None):
@@ -197,20 +198,16 @@ def _padded(A, n):
 
 
 def assemble_load(mesh, f):
-    """Load vector of the bulk heat source (exact for per-triangle f)."""
+    """Load vector of the bulk heat source (exact for per-triangle f): a
+    third of f times the area at each corner, summed corner by corner."""
     bulk = slice(mesh.n_bulk_tris)  # the bulk triangles are a prefix
-    _, _, area = _tri_geometry(mesh, bulk)
-    load = np.zeros(len(mesh.nodes))
     if isinstance(f, np.ndarray):
         if len(f) not in (len(mesh.tris), mesh.n_bulk_tris):
             raise MeshMismatch("per-triangle source length does not match mesh")
-        fvals = f[bulk]
-    else:
-        fvals = np.full(mesh.n_bulk_tris, float(f))
-    contrib = fvals * area / 3.0
-    for i in range(3):
-        np.add.at(load, mesh.tris[bulk, i], contrib)
-    return load
+        f = f[bulk]
+    return np.bincount(mesh.tris[bulk].T.ravel(),
+                       weights=np.tile(f * mesh.areas[bulk] / 3.0, 3),
+                       minlength=len(mesh.nodes))
 
 
 def assemble_neumann(mesh, data):
@@ -446,10 +443,8 @@ def boundary_l1(chain, u):
     return float(np.sum(chain.weights * np.abs(u[chain.nodes])))
 
 
-def _source_term(mesh, u, data, load=None):
-    if load is None:
-        load = assemble_load(mesh, data.f)
-    return float(load @ u)
+def _source_term(mesh, u, data):
+    return float(assemble_load(mesh, data.f) @ u)
 
 
 def _neumann_term(mesh, u, data):
@@ -464,15 +459,13 @@ def _dirichlet_violation(mesh, u, data):
     return worst
 
 
-def eval_E_limit(mesh, u, field, dist, data, interface="consistent",
-                 load=None):
+def eval_E_limit(mesh, u, field, dist, data, interface="consistent"):
     """Energy of the vanished-layer limit problem.
 
     total = 1/2 |grad u|^2 + 1/2 int_GI u^2 / ((k.n) d) - (f,u) - <g,u>.
     ``interface`` selects the consistent Gauss rule or the lumped nodal rule
     for the interface term (the latter matches the reduced functional's
-    algebra exactly).  ``load`` is ``assemble_load(mesh, data.f)`` when the
-    caller already has it.
+    algebra exactly).
     """
     grad = 0.5 * float(u @ (stiffness(mesh) @ u))
     if interface == "consistent":
@@ -489,7 +482,7 @@ def eval_E_limit(mesh, u, field, dist, data, interface="consistent",
                 chain.weights[nz] * uj[nz] ** 2 / (chain.kn[nz] * dvals[nz])))
     else:
         raise ValueError("interface must be 'consistent' or 'lumped'")
-    source = _source_term(mesh, u, data, load)
+    source = _source_term(mesh, u, data)
     neum = _neumann_term(mesh, u, data)
     total = grad + iface - source - neum
     return EnergyReport(
@@ -500,14 +493,13 @@ def eval_E_limit(mesh, u, field, dist, data, interface="consistent",
     )
 
 
-def eval_E_eps(mesh, u, eps, data, load=None):
-    """Energy of the thin-layer problem on a glued mesh; ``load`` as in
-    ``eval_E_limit``."""
+def eval_E_eps(mesh, u, eps, data):
+    """Energy of the thin-layer problem on a glued mesh."""
     if mesh.extrusion is None:
         raise MeshMismatch("eval_E_eps needs an extruded mesh")
     grad_bulk = 0.5 * float(u @ (stiffness(mesh, BULK) @ u))
     grad_layer = 0.5 * eps * float(u @ (stiffness(mesh, LAYER) @ u))
-    source = _source_term(mesh, u, data, load)
+    source = _source_term(mesh, u, data)
     neum = _neumann_term(mesh, u, data)
     total = grad_bulk + grad_layer - source - neum
     zero_violation = 0.0

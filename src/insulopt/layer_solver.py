@@ -25,13 +25,12 @@ from .meshing import BULK, LAYER
 POINCARE_SLACK = 0.05
 
 
-def solve_eps(mesh, eps, data, tol=1e-10, max_iter=None, load=None):
+def solve_eps(mesh, eps, data, tol=1e-10, max_iter=None):
     """Solve the transmission problem; returns (u, EnergyReport).
 
     The report's diagnostics carry the PCG iterations and the transfer and
     V-cycle builds of the solve, the equi-coercivity norms and the worst
-    fiber ratio of the point-wise Poincare inequality.  ``load`` is
-    ``assemble_load(mesh, data.f)`` when the caller already has it.
+    fiber ratio of the point-wise Poincare inequality.
     """
     if mesh.extrusion is None:
         raise MeshMismatch("solve_eps expects a glued mesh from extrude_layer")
@@ -40,9 +39,7 @@ def solve_eps(mesh, eps, data, tol=1e-10, max_iter=None, load=None):
             f"mesh extruded at eps={mesh.extrusion.eps}, solver called with {eps}")
     data.validate(mesh.domain)
     A = stiffness(mesh, BULK) + eps * stiffness(mesh, LAYER)
-    if load is None:
-        load = assemble_load(mesh, data.f)
-    b = load + assemble_neumann(mesh, data)
+    b = assemble_load(mesh, data.f) + assemble_neumann(mesh, data)
     # read the work and drop the workspace's V-cycle before the energies
     workspace = SolveWorkspace()
     u = solve_constrained(mesh, A, b, *dirichlet_nodes(mesh, data), tol=tol,
@@ -50,7 +47,7 @@ def solve_eps(mesh, eps, data, tol=1e-10, max_iter=None, load=None):
     work = workspace.work()
     del workspace
 
-    report = eval_E_eps(mesh, u, eps, data, load=load)
+    report = eval_E_eps(mesh, u, eps, data)
     report.diagnostics.update(work)
     report.diagnostics.update(equicoercivity_norms(mesh, u, eps))
     report.diagnostics["poincare_max_ratio"] = poincare_fiber_check(mesh, u)

@@ -9,8 +9,11 @@ the parent pairs of the midpoints per level (``TriMesh.hierarchy``, the
 multigrid hierarchy).  Every boundary edge carries the facet parameter lam
 of both its ends (``TriMesh.boundary_lam``, x = a + lam (b - a) on facet
 [a, b]); a facet's edges run in place by increasing lam, and refinement
-splits each one in place.  The insulating layer is extruded along the
-transversal field from the insulated boundary nodes and glued conformingly.
+splits each one in place.  A mesh keeps the signed areas of its triangles
+(``TriMesh.areas``, one formula: ``triangle_areas``), computed and checked
+positive when it is built; every assembly reads them.  The insulating layer
+is extruded along the transversal field from the insulated boundary nodes
+and glued conformingly.
 
 Glued layout: the bulk nodes and triangles come first, unchanged, so bulk
 indices are a stable prefix.  The thickness d >= 0 may vanish: a fiber over
@@ -28,7 +31,8 @@ Poincare check, layer offsets, the multigrid levels of the layer) indexes
 it instead of walking nodes.  Since the bulk is a prefix, a glued mesh
 carries the bulk hierarchy and the bulk's insulated chain as they are, and
 it keeps its bulk mesh (``TriMesh.bulk``), whose operators are its bulk
-operators; its layer edges have NaN lam.
+operators and whose areas begin its own (extrusion computes only the
+layer's); its layer edges have NaN lam.
 """
 from __future__ import annotations
 
@@ -114,6 +118,7 @@ class TriMesh:
     domain: object
     nodes: np.ndarray
     tris: np.ndarray
+    areas: np.ndarray                # (T,) signed triangle areas, all > 0
     region: np.ndarray
     boundary_edges: np.ndarray       # (B,2) node ids
     boundary_facet: np.ndarray       # (B,) facet id or LAYER_TOP/LAYER_SIDE
@@ -139,11 +144,6 @@ class TriMesh:
     bulk: TriMesh | None = dc_field(default=None, init=False, repr=False,
                                     compare=False)
 
-    def signed_areas(self):
-        p = self.nodes[self.tris]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
-
     def edge_lengths(self):
         return _edge_lengths(self.nodes, self.tris)
 
@@ -163,6 +163,14 @@ class TriMesh:
     def marker_edges(self, marker):
         mask = self.boundary_facet == marker
         return self.boundary_edges[mask]
+
+
+def triangle_areas(nodes, tris):
+    """Signed areas of the triangles ``tris``, positive counter-clockwise."""
+    p = nodes[tris]
+    x, y = p[..., 0], p[..., 1]
+    return 0.5 * (x[:, 0] * (y[:, 1] - y[:, 2]) + x[:, 1] * (y[:, 2] - y[:, 0])
+                  + x[:, 2] * (y[:, 0] - y[:, 1]))
 
 
 def _edge_lengths(nodes, tris):
@@ -210,7 +218,7 @@ def _refine(nodes, tris, bedges, bfacet, blam, domain):
 
 def triangulate_bulk(domain, h_target):
     """Triangulate the polygon with max edge length <= 1.5*h_target."""
-    if h_target <= 0:
+    if not h_target > 0:
         raise ValueError("h_target must be positive")
     nodes = domain.vertices.copy()
     n = len(nodes)
@@ -224,10 +232,14 @@ def triangulate_bulk(domain, h_target):
             nodes, tris, bedges, bfacet, blam, domain)
         hierarchy.append(parents)
 
-    mesh = TriMesh(
+    areas = triangle_areas(nodes, tris)
+    if not np.all(areas > 0):
+        raise MeshFailure("triangulation produced a non-positive triangle")
+    return TriMesh(
         domain=domain,
         nodes=nodes,
         tris=tris,
+        areas=areas,
         region=np.zeros(len(tris), dtype=np.uint8),
         boundary_edges=bedges,
         boundary_facet=bfacet,
@@ -236,9 +248,6 @@ def triangulate_bulk(domain, h_target):
         n_bulk_tris=len(tris),
         hierarchy=tuple(hierarchy),
     )
-    if np.any(mesh.signed_areas() <= 0):
-        raise MeshFailure("triangulation produced a non-positive triangle")
-    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +361,8 @@ def extrude_layer(bulk, field, dist, eps, n_t):
     """
     if bulk.extrusion is not None:
         raise MeshFailure("mesh already carries a layer")
-    if eps <= 0 or n_t < 1:
-        raise ValueError("eps must be positive and n_t >= 1")
+    if not 0 < eps < np.inf or n_t < 1:
+        raise ValueError("eps must be positive and finite and n_t >= 1")
     chain = insulated_chain(bulk)
     comps = chain.components
     d = chain.thickness(dist)
@@ -397,6 +406,11 @@ def extrude_layer(bulk, field, dist, eps, n_t):
     side = np.stack([ends[..., :-1], ends[..., 1:]], axis=-1).swapaxes(
         1, 2).reshape(-1, 2)
     side = side[side[:, 0] != side[:, 1]]
+    layer_areas = triangle_areas(nodes, layer_tris)
+    if not np.all(layer_areas > 0):
+        raise NonInjectiveLayer(
+            "extruded layer contains inverted cells; eps exceeds the "
+            "injectivity threshold of this mesh")
 
     # every insulated bulk edge is interface; the top and side edges of the
     # layer follow the other bulk edges
@@ -405,6 +419,7 @@ def extrude_layer(bulk, field, dist, eps, n_t):
         domain=bulk.domain,
         nodes=nodes,
         tris=np.concatenate([bulk.tris, layer_tris]),
+        areas=np.concatenate([bulk.areas, layer_areas]),
         region=np.concatenate([bulk.region,
                                np.full(len(layer_tris), LAYER, dtype=np.uint8)]),
         boundary_edges=np.concatenate([bulk.boundary_edges[~iface], top, side]),
@@ -421,8 +436,4 @@ def extrude_layer(bulk, field, dist, eps, n_t):
         hierarchy=bulk.hierarchy,
     )
     glued.chain_cache, glued.bulk = bulk.chain_cache, bulk
-    if np.any(glued.signed_areas()[len(bulk.tris):] <= 0):
-        raise NonInjectiveLayer(
-            "extruded layer contains inverted cells; eps exceeds the "
-            "injectivity threshold of this mesh")
     return glued

@@ -59,8 +59,7 @@ def solve_limit(mesh, field, dist, data, tol=1e-10, max_iter=None,
     if robin_quadrature == "consistent" and _min_thickness(mesh, dist) <= 0:
         raise NonpositiveWeight("thickness must be positive on the insulated part")
     A, zero_nodes = robin_operator(mesh, field, dist, robin_quadrature)
-    load = assemble_load(mesh, data.f)
-    b = load + assemble_neumann(mesh, data)
+    b = assemble_load(mesh, data.f) + assemble_neumann(mesh, data)
     # read the work and drop the workspace's V-cycle before the energies
     workspace = SolveWorkspace()
     u = solve_constrained(mesh, A, b, *dirichlet_nodes(mesh, data, zero_nodes),
@@ -68,8 +67,7 @@ def solve_limit(mesh, field, dist, data, tol=1e-10, max_iter=None,
     work = workspace.work()
     del workspace
     report = eval_E_limit(mesh, u, field, dist, data,
-                          interface=("lumped" if robin_quadrature == "lumped"
-                                     else "consistent"), load=load)
+                          interface=robin_quadrature)
     report.diagnostics.update(work)
     return u, report
 

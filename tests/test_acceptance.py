@@ -188,7 +188,7 @@ def _ustar(x, y):
 
 def _errors_vs_manufactured(mesh, u):
     p = mesh.nodes[mesh.tris]
-    areas = mesh.signed_areas()
+    areas = mesh.areas
     x = p[:, :, 0] @ _BARY.T
     y = p[:, :, 1] @ _BARY.T
     uh = u[mesh.tris] @ _BARY.T

@@ -75,6 +75,30 @@ def test_solver_integers_reject_booleans_and_floats(key, value):
     assert f"solver.{key}" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("path", ["data.f", "data.g", "data.g.0", "data.u_D",
+                                  "distribution.d_min", "solver.h", "mass"])
+def test_nonfinite_numbers_are_schema_errors(tmp_path, capsys, path, text):
+    # json parses NaN and Infinity; they must not reach a solver
+    cfg = json.loads(json.dumps(PSEUDO1D))
+    *parents, key = path.split(".")
+    target = cfg
+    for part in parents:
+        if not isinstance(target[part], dict):
+            target[part] = {}
+        target = target[part]
+    target[key] = "<value>"
+    doc = json.dumps(cfg).replace('"<value>"', text)
+    with pytest.raises(SchemaError) as err:
+        parse_config(doc)
+    assert str(err.value) == f"{path}: must be finite"
+    (tmp_path / "cfg.json").write_text(doc)
+    assert main(["solve-limit", "--config", str(tmp_path / "cfg.json"),
+                 "--set", f"output.directory={tmp_path / 'out'}"]) == 1
+    assert f"{path}: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_round_trip_identical():
     cfg = validate_config(json.loads(json.dumps(PSEUDO1D)))
     again = parse_config(cfg.to_json())
@@ -283,3 +307,17 @@ def test_cli_per_triangle_source_csv(tmp_path, capsys):
     assert run_cli(tmp_path, cfg, "solve-limit") == 0
     terms = parse_terms(capsys.readouterr().out)
     assert terms["E_LIMIT_SOURCE"][0] != 0.0
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["solve-limit", "solve-eps",
+                                     "solve-reduced"])
+def test_cli_per_triangle_source_csv_must_be_finite(tmp_path, capsys,
+                                                   command, entry):
+    cfg = json.loads(json.dumps(PSEUDO1D))
+    cfg["solver"]["h"] = 0.5
+    fcsv = tmp_path / "f.csv"
+    fcsv.write_text("\n".join(["1.0"] * 7 + [entry]))  # 8 triangles at h = 0.5
+    cfg["data"]["f"] = str(fcsv)
+    assert run_cli(tmp_path, cfg, command) == 1
+    assert "data.f: must be finite" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,7 +8,12 @@ from hypothesis import strategies as st
 
 from insulopt import fem
 from insulopt.convergence import gamma_sweep
-from insulopt.errors import NoConvergence, NonpositiveWeight, UnknownLabel
+from insulopt.errors import (
+    NoConvergence,
+    NonpositiveWeight,
+    SchemaError,
+    UnknownLabel,
+)
 from insulopt.fem import (
     ProblemData,
     apply_dirichlet,
@@ -27,6 +34,7 @@ from insulopt.geometry import (
     PolygonalDomain,
     build_transversal_field,
 )
+from insulopt.layer_solver import solve_eps
 from insulopt.meshing import (
     BULK,
     LAYER,
@@ -48,6 +56,7 @@ def unit_right_triangle_mesh():
         domain=domain,
         nodes=np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]),
         tris=np.array([[0, 1, 2]]),
+        areas=np.array([0.5]),
         region=np.zeros(1, dtype=np.uint8),
         boundary_edges=np.array([(0, 1), (1, 2), (2, 0)]),
         boundary_facet=np.array([0, 1, 2]),
@@ -133,6 +142,71 @@ def test_load_sums_to_source_integral(square_all_insulated):
     mesh = triangulate_bulk(square_all_insulated, 0.3)
     load = assemble_load(mesh, 1.0)
     assert load.sum() == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("vertices,h", [(SQUARE, 1 / 16), (LSHAPE, 1 / 16),
+                                        (NOTCHED, 0.25)],
+                         ids=["square", "lshape", "notched"])
+def test_load_matches_corner_by_corner_reference(vertices, h):
+    domain = PolygonalDomain(vertices, ["insulated"] * len(vertices))
+    mesh = triangulate_bulk(domain, h)
+    rng = np.random.default_rng(3)
+    for f in (1.3, rng.uniform(-1.0, 2.0, mesh.n_bulk_tris)):
+        contrib = np.broadcast_to(f, mesh.n_bulk_tris) * mesh.areas / 3.0
+        reference = np.zeros(len(mesh.nodes))
+        for i in range(3):
+            np.add.at(reference, mesh.tris[:, i], contrib)
+        assert np.array_equal(assemble_load(mesh, f), reference)
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+def test_glued_load_is_the_bulk_load_padded_with_zeros(lshape_all_insulated,
+                                                       zeros):
+    field = build_transversal_field(lshape_all_insulated, "bisector")
+    mesh = triangulate_bulk(lshape_all_insulated, 1 / 8)
+    comp = lshape_all_insulated.insulated_components[0]
+    coords = np.array([comp.facet_offsets[f] for f in comp.facets])
+    # zero at both ends of facet 2 collapses the fibers over it
+    values = np.where(np.isin(comp.facets, [2, 3]) & zeros, 0.0, 1.0)
+    dist = InsulationDistribution(field, [coords], [values])
+    glued = extrude_layer(mesh, field, dist, eps=0.05, n_t=2)
+    fibers = glued.extrusion.fibers
+    assert np.any(fibers[:, 0] == fibers[:, -1]) == zeros
+    assert np.array_equal(glued.areas[:mesh.n_bulk_tris], mesh.areas)
+    rng = np.random.default_rng(5)
+    f_bulk = rng.uniform(0.5, 1.5, mesh.n_bulk_tris)
+    f_glued = np.concatenate([f_bulk, rng.uniform(
+        0.5, 1.5, len(glued.tris) - mesh.n_bulk_tris)])
+    for f, f_on_glued in ((1.0, 1.0), (f_bulk, f_bulk), (f_bulk, f_glued)):
+        padded = np.zeros(len(glued.nodes))
+        padded[:mesh.n_bulk_nodes] = assemble_load(mesh, f)
+        assert np.array_equal(assemble_load(glued, f_on_glued), padded)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key,form", [("f", "scalar"), ("f", "triangle"),
+                                      ("g", "scalar"), ("g", "facet"),
+                                      ("u_D", "scalar"), ("u_D", "facet")])
+def test_nonfinite_problem_data_fails_before_any_solve(key, form, value):
+    # pseudo-1D square: facets 0 and 2 Neumann, 1 insulated, 3 Dirichlet
+    domain, field, mesh, data = pseudo1d_setup(h=0.25)
+    if form == "triangle":
+        spec = np.ones(mesh.n_bulk_tris)
+        spec[3] = value
+    elif form == "facet":
+        spec = {3: value} if key == "u_D" else {0: 0.0, 2: value}
+    else:
+        spec = value
+    data = replace(data, **{key: spec})
+    dist = InsulationDistribution.constant(field, 1.0)
+    glued = extrude_layer(mesh, field, dist, eps=0.1, n_t=2)
+    for solve in (lambda: solve_limit(mesh, field, dist, data),
+                  lambda: solve_eps(glued, 0.1, data),
+                  lambda: solve_reduced(mesh, 1.0, data, method="proxgrad"),
+                  lambda: solve_reduced(mesh, 1.0, data,
+                                        method="alternating")):
+        with pytest.raises(SchemaError, match=f"data.{key}: must be finite"):
+            solve()
 
 
 def test_neumann_sums_to_flux_integral():

@@ -62,7 +62,7 @@ def test_uniform_refinement_quadruples(square_all_insulated):
 
 def test_lshape_orientation_and_euler(lshape_all_insulated):
     mesh = triangulate_bulk(lshape_all_insulated, 0.25)
-    assert np.all(mesh.signed_areas() > 0)
+    assert np.all(mesh.areas > 0)
     edges = edge_multiset(mesh)
     V, E, F = len(mesh.nodes), len(edges), len(mesh.tris)
     assert V - E + F == 1  # triangulated disk
@@ -179,7 +179,7 @@ def star_polygons(draw):
 @given(domain=star_polygons())
 def test_random_polygon_boundary_parameters(domain):
     mesh = triangulate_bulk(domain, 0.2)
-    assert np.all(mesh.signed_areas() > 0)
+    assert np.all(mesh.areas > 0)
     for fid, facet in enumerate(domain.facets):
         rows = np.flatnonzero(mesh.boundary_facet == fid)
         assert np.array_equal(rows, np.arange(rows[0], rows[-1] + 1))
@@ -203,7 +203,7 @@ def test_random_polygon_boundary_parameters(domain):
 
 def test_mesh_area_matches_polygon(lshape_all_insulated):
     mesh = triangulate_bulk(lshape_all_insulated, 0.17)
-    assert mesh.signed_areas().sum() == pytest.approx(
+    assert mesh.areas.sum() == pytest.approx(
         lshape_all_insulated.area, rel=1e-13)
 
 
@@ -271,7 +271,7 @@ def test_extrude_rectangle_layer():
     dist = InsulationDistribution.constant(field, 1.0)
     glued = extrude_layer(mesh, field, dist, eps=0.1, n_t=2)
     layer_tris = glued.region == LAYER
-    areas = glued.signed_areas()
+    areas = glued.areas
     assert areas[layer_tris].sum() == pytest.approx(0.1, rel=1e-12)
     assert np.all(areas > 0)
     # layer nodes fill the rectangle [1, 1.1] x [0, 1]
@@ -329,7 +329,7 @@ def test_glued_mesh_conforming(case, n_t, knots, eps):
     boundary = {tuple(sorted(e)) for e in map(tuple, glued.boundary_edges)}
     for e, count in edges.items():
         assert count == (1 if e in boundary else 2)
-    assert np.all(glued.signed_areas() > 0)
+    assert np.all(glued.areas > 0)
     ext = glued.extrusion
     fibers = ext.fibers
     # every insulated-interface node touches both regions
@@ -376,7 +376,7 @@ def test_layer_area_consistency_order(square_all_insulated):
     for h, n_t in [(0.25, 2), (0.125, 4), (0.0625, 8)]:
         mesh = triangulate_bulk(square_all_insulated, h)
         glued = extrude_layer(mesh, field, dist, eps, n_t)
-        approx = glued.signed_areas()[glued.region == LAYER].sum()
+        approx = glued.areas[glued.region == LAYER].sum()
         errs.append(abs(approx - exact))
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert min(orders) >= 1.8
@@ -391,7 +391,7 @@ def check_collapsed_layer(glued, eps, data):
     assert len(base) and np.all(fibers[collapsed].T == base)
     n_live = len(fibers) - len(base)
     assert len(glued.nodes) == glued.n_bulk_nodes + n_live * (fibers.shape[1] - 1)
-    assert np.all(glued.signed_areas() > 0)
+    assert np.all(glued.areas > 0)
     assert np.all(np.diff(np.sort(glued.tris, axis=1), axis=1) != 0)
     # conforming: boundary edges bound one triangle, the others two
     edges = edge_multiset(glued)
@@ -474,6 +474,40 @@ def test_optimal_designs_with_zeros_extrude_and_solve(dirichlet, m, zeros):
         assert rep.diagnostics["pcg_iterations"] <= 28
 
 
+def test_extrusion_computes_only_the_layer_areas(lshape_all_insulated,
+                                                monkeypatch):
+    field = build_transversal_field(lshape_all_insulated, "bisector")
+    mesh = triangulate_bulk(lshape_all_insulated, 1 / 8)
+    dist = InsulationDistribution.constant(field, 1.0)
+    original = meshing.triangle_areas
+    rows = []
+
+    def spy(nodes, tris):
+        rows.append(len(tris))
+        return original(nodes, tris)
+
+    monkeypatch.setattr(meshing, "triangle_areas", spy)
+    glued = extrude_layer(mesh, field, dist, eps=0.05, n_t=2)
+    assert rows == [np.count_nonzero(glued.region == LAYER)]
+    assert np.array_equal(glued.areas, original(glued.nodes, glued.tris))
+
+
+@pytest.mark.parametrize("h", [np.nan, 0.0, -0.25])
+def test_triangulate_rejects_h_that_is_not_positive(square_all_insulated, h):
+    with pytest.raises(ValueError, match="h_target"):
+        triangulate_bulk(square_all_insulated, h)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -0.1])
+def test_extrude_rejects_eps_that_is_not_positive_and_finite(
+        square_all_insulated, eps):
+    field = build_transversal_field(square_all_insulated, "bisector")
+    mesh = triangulate_bulk(square_all_insulated, 0.25)
+    dist = InsulationDistribution.constant(field, 1.0)
+    with pytest.raises(ValueError, match="eps"):
+        extrude_layer(mesh, field, dist, eps, n_t=2)
+
+
 def test_whole_facet_zero_skipped_becomes_zero_trace():
     domain = pseudo1d_domain()
     field = build_transversal_field(domain, "facet_normal")
@@ -495,7 +529,7 @@ def test_reentrant_notch_inverts_at_large_eps():
     with pytest.raises(NonInjectiveLayer):
         layer_area(field, dist, 2.5)
     glued = extrude_layer(mesh, field, dist, eps=0.05, n_t=2)
-    assert np.all(glued.signed_areas() > 0)
+    assert np.all(glued.areas > 0)
 
 
 def test_rectilinear_bisector_layers_never_invert(lshape_all_insulated):
@@ -505,7 +539,7 @@ def test_rectilinear_bisector_layers_never_invert(lshape_all_insulated):
     dist = InsulationDistribution.constant(field, 1.0)
     mesh = triangulate_bulk(lshape_all_insulated, 0.25)
     glued = extrude_layer(mesh, field, dist, eps=2.0, n_t=2)
-    assert np.all(glued.signed_areas() > 0)
+    assert np.all(glued.areas > 0)
 
 
 def test_two_insulated_components():
@@ -518,8 +552,8 @@ def test_two_insulated_components():
     assert chain.weights.sum() == pytest.approx(2.0, rel=1e-14)
     dist = InsulationDistribution.constant(field, 0.5)
     glued = extrude_layer(mesh, field, dist, eps=0.1, n_t=2)
-    assert np.all(glued.signed_areas() > 0)
+    assert np.all(glued.areas > 0)
     # two strips of area eps*d each
-    layer_area_sum = glued.signed_areas()[glued.region == LAYER].sum()
+    layer_area_sum = glued.areas[glued.region == LAYER].sum()
     assert layer_area_sum == pytest.approx(2 * 0.1 * 0.5, rel=1e-12)
     assert len(glued.marker_edges(LAYER_SIDE)) == 2 * 2 * 2  # 2 strips x 2 ends
