@@ -3,7 +3,9 @@
 Sweeps the layer thickness scale eps, compares the thin-layer energies
 against the limit problem, and builds admissible competitors from the limit
 solution via the fiber cutoff 1 - t/(eps*d(s)).  Also checks the boundary
-Lebesgue limit (1/eps) int_{layer} a |v|^p -> int_{GI} (k.n) d a |v|^p ds.
+Lebesgue limit (1/eps) int_{layer} a |v|^p -> int_{GI} (k.n) d a |v|^p ds
+with the integrals of ``geometry``; it defines no quadrature of its own, so
+it raises NonInjectiveLayer wherever ``layer_area`` does.
 """
 from __future__ import annotations
 
@@ -14,18 +16,15 @@ import numpy as np
 from .errors import ConvergenceCheckFailure, MeshMismatch
 from .fem import eval_E_eps
 from .geometry import (
-    _GAUSS_W,
-    _arc_gauss_nodes,
-    _layer_integrand_coeffs,
+    boundary_integral,
     layer_area,
+    layer_integral,
     transversal_mass,
 )
 from .layer_solver import solve_eps
 from .meshing import extrude_layer, triangulate_bulk
 from .robin_solver import solve_limit
 from .vtk_io import csv_lines
-
-_T_GX, _T_GW = np.polynomial.legendre.leggauss(6)
 
 SANDWICH_SLACK = 1e-12
 EQUICOERCIVITY_FACTOR = 10.0
@@ -149,54 +148,6 @@ def gamma_sweep(domain, field, dist, data, eps_list, h, n_t, tol=1e-10,
         fields=fields,
     )
     return report
-
-
-def _arc_values(a, field, fid, lam):
-    """Weight ``a`` (default 1) at the global arc coordinates of ``lam``."""
-    if a is None:
-        return np.ones_like(lam)
-    domain = field.domain
-    arc = domain.facet_arc_start[fid] + lam * domain.lengths[fid]
-    return np.asarray([a(s) for s in arc], dtype=float)
-
-
-def layer_integral(field, dist, eps, p=1, a=None, v=None):
-    """(1/eps) int_{layer} a |v|^p dx by exact fiber quadrature.
-
-    ``v`` maps point arrays (n,2) to values, ``a`` maps global arc
-    coordinates to values; both default to 1.  ``a`` is extended constantly
-    along fibers.
-    """
-    total = 0.0
-    for _, fid, lam, d, half in _arc_gauss_nodes(field, dist):
-        A, B = _layer_integrand_coeffs(field, fid, lam)
-        T = eps * d
-        base = field.domain.facet_point(fid, lam)
-        k = field.k_at(fid, lam)
-        aval = _arc_values(a, field, fid, lam)
-        inner = np.zeros_like(lam)
-        for gx, gw in zip(_T_GX, _T_GW):
-            t = 0.5 * T * (gx + 1.0)
-            pts = base + t[:, None] * k
-            vv = np.ones(len(pts)) if v is None else \
-                np.asarray(v(pts), dtype=float)
-            inner += gw * np.abs(vv) ** p * (A + t * B) * 0.5 * T
-        total += half * float(np.dot(_GAUSS_W, aval * inner))
-    return total / eps
-
-
-def boundary_integral(field, dist, p=1, a=None, v=None):
-    """int_{GI} (k.n) d a |v|^p ds, the limit of ``layer_integral``."""
-    total = 0.0
-    for _, fid, lam, d, half in _arc_gauss_nodes(field, dist):
-        kn = field.k_dot_n(fid, lam)
-        pts = field.domain.facet_point(fid, lam)
-        aval = _arc_values(a, field, fid, lam)
-        vv = np.ones(len(pts)) if v is None else \
-            np.asarray(v(pts), dtype=float)
-        total += half * float(np.dot(
-            _GAUSS_W, kn * d * aval * np.abs(vv) ** p))
-    return total
 
 
 MIN_LEBESGUE_ORDER = 0.9

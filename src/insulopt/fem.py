@@ -133,18 +133,16 @@ def _scatter(mesh, mask, ke):
     return sp.csr_matrix((ke.ravel(), (rows, cols)), shape=(n, n))
 
 
-def assemble_stiffness(mesh, coeff=1.0, region=None):
-    """P1 stiffness with a constant coefficient, optionally restricted to
-    the triangles of one region."""
-    if coeff < 0:
-        raise ValueError("stiffness coefficient must be non-negative")
+def assemble_stiffness(mesh, region=None):
+    """Unit-coefficient P1 stiffness, optionally restricted to the
+    triangles of one region."""
     mask = slice(None) if region is None else mesh.region == region
     x, y = mesh.nodes[mesh.tris[mask]].T  # (3, T) corner coordinates
     b = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
     c = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
     ke = b[:, None] * b[None]  # built in place: assembly sets peak memory
     ke += c[:, None] * c[None]
-    ke *= coeff / (4.0 * mesh.areas[mask])
+    ke *= 1.0 / (4.0 * mesh.areas[mask])
     K = _scatter(mesh, mask, ke)
     # right angles leave exact zeros (cot 90 deg) that every product would
     # visit
@@ -517,10 +515,9 @@ def eval_E_eps(mesh, u, eps, data):
     )
 
 
-def eval_I(mesh, u, m, data, chain=None):
+def eval_I(mesh, u, m, data):
     """Reduced objective 1/2 |grad u|^2 - (f,u) + (1/2m) |u|_{1,GI}^2 - <g,u>."""
-    if chain is None:
-        chain = insulated_chain(mesh)
+    chain = insulated_chain(mesh)
     grad = 0.5 * float(u @ (stiffness(mesh) @ u))
     l1 = boundary_l1(chain, u)
     bdry = l1 * l1 / (2.0 * m)

@@ -10,6 +10,10 @@ outward normal when sweeping the thin insulating layer
 where d is a nodal thickness profile in direction of k.  All evaluations are
 parametrized by the global boundary arc-length s measured counter-clockwise
 from vertex 0.
+
+Every integral over the insulated boundary and its layer is a reduction
+over one arc table (``_arc_quadrature``), and every layer density passes
+one injectivity check (``_layer_density``).
 """
 from __future__ import annotations
 
@@ -25,8 +29,10 @@ from .errors import (
     TransversalityFailure,
 )
 
-# Gauss-Legendre rule used for all arc-length line integrals (degree 31).
+# Gauss-Legendre rules of all layer and boundary integrals: 16 points
+# along the arc (degree 31), 6 along a fiber (degree 11)
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
+_T_GX, _T_GW = np.polynomial.legendre.leggauss(6)
 
 KAPPA_FLOOR = 1e-6
 FIELD_SAMPLES_PER_FACET = 64
@@ -458,80 +464,113 @@ def layer_point(field, s, t):
 
 
 def layer_jacobian(field, s, t):
-    """Area density of the fiber map at (s, t).
+    """Area density A + t B of the fiber map at (s, t), see
+    ``_layer_density``; at t = 0 it is exactly k(s).n(s)."""
+    fid, lam = map(np.atleast_1d, field.domain.locate(s))
+    A, B = _layer_density(field, fid, lam, t)
+    return float(A[0] + t * B[0])
 
-    Equals cross(k, tau + t k') with tau the unit tangent; at t = 0 this is
-    exactly k(s).n(s).  A non-positive value means the layer map is no longer
-    injective at this thickness.
-    """
+
+def _arc_quadrature(field, dist):
+    """The Gauss table on the insulated boundary: flat arrays (facet ids,
+    local parameters, thickness values, weights) of 16-point Gauss-Legendre
+    on every facet piece between the knots more than 1e-14 inside it."""
     domain = field.domain
-    fid, lam = domain.locate(s)
-    k = field.k_at(fid, lam)[0]
-    kp = field.k_prime_at(fid, lam)[0]
-    tau = domain.tangents[fid]
-    val = float(k[0] * (tau[1] + t * kp[1]) - k[1] * (tau[0] + t * kp[0]))
-    if val <= 0.0:
-        raise NonInjectiveLayer(
-            f"layer density {val:.3e} <= 0 at s={s:.6g}, t={t:.6g}")
-    return val
-
-
-def _arc_gauss_nodes(field, dist):
-    """Gauss nodes of every insulated facet sub-segment between thickness
-    breakpoints: yields (component, facet, local parameters, thickness
-    values, half sub-segment length)."""
-    domain = field.domain
+    fid, lam, d, w = [], [], [], []
     for ci, comp in enumerate(domain.insulated_components):
-        coords = dist.component_coords[ci]
-        for fid in comp.facets:
-            off = comp.facet_offsets[fid]
-            L = domain.lengths[fid]
-            inner = coords[(coords > off + 1e-14) & (coords < off + L - 1e-14)]
-            brk = np.concatenate([[off], inner, [off + L]])
-            for a, b in zip(brk[:-1], brk[1:]):
-                half = 0.5 * (b - a)
-                mid = 0.5 * (a + b)
-                coords_q = mid + half * _GAUSS_X
-                yield (ci, fid, (coords_q - off) / L,
-                       dist.value_at(ci, coords_q), half)
+        starts = np.array([comp.facet_offsets[f] for f in comp.facets])
+        ends = starts + domain.lengths[comp.facets]
+        knots = dist.component_coords[ci]
+        inside = ((knots[:, None] > starts + 1e-14)
+                  & (knots[:, None] < ends - 1e-14)).any(axis=1)
+        brk = np.sort(np.concatenate([starts, ends[-1:], knots[inside]]))
+        half = 0.5 * (brk[1:] - brk[:-1])
+        coords = (0.5 * (brk[:-1] + brk[1:])[:, None]
+                  + half[:, None] * _GAUSS_X).ravel()
+        f, l = _component_locate(domain, comp, coords)
+        fid.append(f)
+        lam.append(l)
+        d.append(dist.value_at(ci, coords))
+        w.append((half[:, None] * _GAUSS_W).ravel())
+    return tuple(map(np.concatenate, (fid, lam, d, w)))
 
 
-def _layer_integrand_coeffs(field, fid, lam):
-    """A(s) = k.n and B(s) = cross(k, k') of the t-linear density A + t B."""
+def _layer_density(field, fid, lam, T):
+    """A = k.n and B = cross(k, k') of the fiber map's area density A + t B
+    at (fid, lam).  Raises NonInjectiveLayer unless A > 0 and A + T B > 0,
+    the density at t = 0 and at the layer top t = T."""
     k = field.k_at(fid, lam)
     kp = field.k_prime_at(fid, lam)
-    tau = field.domain.tangents[fid]
-    A = k[:, 0] * tau[1] - k[:, 1] * tau[0]
+    n = field.domain.normals[fid]
+    A = k[:, 0] * n[..., 0] + k[:, 1] * n[..., 1]
     B = k[:, 0] * kp[:, 1] - k[:, 1] * kp[:, 0]
+    ok = (A > 0.0) & (A + T * B > 0.0)
+    if not np.all(ok):
+        raise NonInjectiveLayer(
+            f"layer density non-positive on facet {fid[~ok][0]}; "
+            "eps exceeds the injectivity threshold")
     return A, B
 
 
 def layer_area(field, dist, eps):
-    """Exact area of the thin layer of thickness eps*d.
+    """Exact area of the thin layer of thickness eps*d: the fiber integral
+    of the t-linear density is closed-form.  Raises NonInjectiveLayer if
+    the density is non-positive anywhere in the layer."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    fid, lam, d, w = _arc_quadrature(field, dist)
+    T = eps * d
+    A, B = _layer_density(field, fid, lam, T)
+    return float(np.dot(w, A * T + 0.5 * B * T**2))
 
-    The fiber integral of the t-linear density is closed-form; the arc
-    integral uses Gauss quadrature per facet sub-segment.  Raises
-    NonInjectiveLayer if the density is non-positive anywhere in the layer.
+
+def _arc_values(a, field, fid, lam):
+    """Weight ``a`` (default 1) at the global arc coordinates of ``lam``."""
+    if a is None:
+        return np.ones_like(lam)
+    domain = field.domain
+    arc = domain.facet_arc_start[fid] + lam * domain.lengths[fid]
+    return np.asarray([a(s) for s in arc], dtype=float)
+
+
+def _values(v, pts):
+    """``v`` (default 1) on the point array ``pts``, in one call."""
+    return np.ones(len(pts)) if v is None else np.asarray(v(pts), dtype=float)
+
+
+def layer_integral(field, dist, eps, p=1, a=None, v=None):
+    """(1/eps) int_{layer} a |v|^p dx by exact fiber quadrature; raises
+    NonInjectiveLayer where ``layer_area`` does.
+
+    ``v`` maps point arrays (n,2) to values and is called once per fiber
+    Gauss node, on all points; ``a`` maps one global arc coordinate to a
+    value, is called once per point and is constant along fibers.  Both
+    default to 1.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    total = 0.0
-    for _, fid, lam, d, half in _arc_gauss_nodes(field, dist):
-        A, B = _layer_integrand_coeffs(field, fid, lam)
-        T = eps * d
-        dens_top = A + T * B
-        if np.any(dens_top <= 0.0) or np.any(A <= 0.0):
-            raise NonInjectiveLayer(
-                f"layer density non-positive on facet {fid}; "
-                "eps exceeds the injectivity threshold")
-        inner = A * T + 0.5 * B * T**2
-        total += half * float(np.dot(_GAUSS_W, inner))
-    return total
+    fid, lam, d, w = _arc_quadrature(field, dist)
+    T = eps * d
+    A, B = _layer_density(field, fid, lam, T)
+    base = field.domain.facet_point(fid, lam)
+    k = field.k_at(fid, lam)
+    inner = np.zeros_like(lam)
+    for gx, gw in zip(_T_GX, _T_GW):
+        t = 0.5 * T * (gx + 1.0)
+        vv = _values(v, base + t[:, None] * k)
+        inner += gw * np.abs(vv) ** p * (A + t * B) * 0.5 * T
+    return float(np.dot(w, _arc_values(a, field, fid, lam) * inner)) / eps
+
+
+def boundary_integral(field, dist, p=1, a=None, v=None):
+    """int_{GI} (k.n) d a |v|^p ds, the limit of ``layer_integral``; ``v``
+    is called once, on all points, and ``a`` once per point."""
+    fid, lam, d, w = _arc_quadrature(field, dist)
+    vv = _values(v, field.domain.facet_point(fid, lam))
+    return float(np.dot(w, field.k_dot_n(fid, lam) * d
+                        * _arc_values(a, field, fid, lam) * np.abs(vv) ** p))
 
 
 def transversal_mass(field, dist):
     """Weighted amount of material: the exact integral of (k.n) d ds."""
-    total = 0.0
-    for _, fid, lam, d, half in _arc_gauss_nodes(field, dist):
-        total += half * float(np.dot(_GAUSS_W, field.k_dot_n(fid, lam) * d))
-    return total
+    return boundary_integral(field, dist)

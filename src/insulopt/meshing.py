@@ -274,7 +274,6 @@ class InsulatedChain:
 
     components: list
     nodes: np.ndarray
-    coords: np.ndarray
     weights: np.ndarray
     kn: np.ndarray
 
@@ -331,8 +330,6 @@ def _build_chain(mesh):
     chain = InsulatedChain(
         components=components,
         nodes=nodes,
-        coords=np.concatenate([cc.coords + comp.start_arc for comp, cc
-                               in zip(domain.insulated_components, components)]),
         weights=np.concatenate([_lumped_weights(cc.coords, cc.cyclic, cc.length)
                                 for cc in components]),
         kn=np.full(len(nodes), np.nan),
@@ -340,7 +337,7 @@ def _build_chain(mesh):
     for cc in components:
         for arr in (cc.nodes, cc.coords, cc.node_facet, cc.node_lam):
             arr.flags.writeable = False
-    for arr in (chain.nodes, chain.coords, chain.weights, chain.kn):
+    for arr in (chain.nodes, chain.weights, chain.kn):
         arr.flags.writeable = False
     return chain
 

@@ -168,7 +168,7 @@ def solve_reduced_proxgrad(mesh, m, data, tol=1e-10, max_iter=200_000):
     bnorm = float(np.linalg.norm(b_F))
     u = lift.copy()
     if bnorm == 0.0:
-        return u, _report(mesh, chain, u, m, data, iterations=0, residual=0.0,
+        return u, _report(mesh, u, m, data, iterations=0, residual=0.0,
                           method="proxgrad", certified_residual=0.0,
                           restarts=0)
     L = estimate_spectral_norm(A)
@@ -207,7 +207,7 @@ def solve_reduced_proxgrad(mesh, m, data, tol=1e-10, max_iter=200_000):
         raise NoConvergence(
             f"proximal gradient did not certify {tol:g}*|b| in {max_iter} steps")
     u[~fixed] = x
-    return u, _report(mesh, chain, u, m, data, iterations=it,
+    return u, _report(mesh, u, m, data, iterations=it,
                       residual=res / bnorm, method="proxgrad",
                       certified_residual=res / bnorm, restarts=restarts)
 
@@ -281,7 +281,7 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
         I_g, s_g = energy(g)
         if I_u is not None and abs(I_g - I_u) <= tol * (abs(I_g) + 1e-30):
             return g, _report(
-                mesh, chain, g, m, data, iterations=it,
+                mesh, g, m, data, iterations=it,
                 residual=abs(I_g - I_u), method="alternating",
                 certified_residual=_certified_residual(K, b, fixed, lift,
                                                        chain, m, g),
@@ -309,8 +309,8 @@ def solve_reduced_alternating(mesh, m, data, tol=1e-10, max_iter=500):
     raise NoConvergence(f"alternating minimization stalled after {max_iter} passes")
 
 
-def _report(mesh, chain, u, m, data, iterations, residual, method, **extra):
-    rep = eval_I(mesh, u, m, data, chain=chain)
+def _report(mesh, u, m, data, iterations, residual, method, **extra):
+    rep = eval_I(mesh, u, m, data)
     rep.diagnostics.update({
         "iterations": iterations,
         "residual": residual,

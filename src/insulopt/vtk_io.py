@@ -23,9 +23,10 @@ def _atomic_write(path, text):
         raise
 
 
-def write_vtk(path, mesh, point_data=None, cell_data=None, title="insulopt"):
-    """Write a triangle mesh with optional nodal / per-cell scalar fields."""
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+def write_vtk(path, mesh, point_data=None):
+    """Write a triangle mesh with its region tags and optional nodal
+    scalar fields."""
+    lines = ["# vtk DataFile Version 3.0", "insulopt", "ASCII",
              "DATASET UNSTRUCTURED_GRID"]
     n = len(mesh.nodes)
     lines.append(f"POINTS {n} double")
@@ -38,17 +39,10 @@ def write_vtk(path, mesh, point_data=None, cell_data=None, title="insulopt"):
     lines.append(f"CELL_TYPES {m}")
     lines.extend(["5"] * m)
 
-    cell_data = dict(cell_data or {})
-    cell_data.setdefault("region", mesh.region)
     lines.append(f"CELL_DATA {m}")
-    for name, values in cell_data.items():
-        kind = "int" if values.dtype.kind in "iu" else "double"
-        lines.append(f"SCALARS {name} {kind} 1")
-        lines.append("LOOKUP_TABLE default")
-        if kind == "int":
-            lines.extend(str(int(v)) for v in values)
-        else:
-            lines.extend(f"{float(v):.17g}" for v in values)
+    lines.append("SCALARS region int 1")
+    lines.append("LOOKUP_TABLE default")
+    lines.extend(str(int(v)) for v in mesh.region)
 
     if point_data:
         lines.append(f"POINT_DATA {n}")
@@ -60,9 +54,9 @@ def write_vtk(path, mesh, point_data=None, cell_data=None, title="insulopt"):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_boundary_vtk(path, points, segments, point_fields, title="profile"):
+def write_boundary_vtk(path, points, segments, point_fields):
     """Polyline output, e.g. the insulated boundary with thickness fields."""
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+    lines = ["# vtk DataFile Version 3.0", "profile", "ASCII",
              "DATASET UNSTRUCTURED_GRID"]
     n = len(points)
     lines.append(f"POINTS {n} double")

@@ -12,6 +12,8 @@ from insulopt.layer_solver import solve_eps
 from insulopt.meshing import extrude_layer, triangulate_bulk
 from insulopt.robin_solver import solve_limit
 
+from conftest import NOTCHED
+
 PSEUDO1D = {
     "domain": {
         "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
@@ -241,6 +243,19 @@ def test_cli_check_lebesgue(tmp_path, capsys):
     cfg["solver"]["epsilon_list"] = [0.2, 0.1, 0.05]
     assert run_cli(tmp_path, cfg, "check-lebesgue") == 0
     assert (tmp_path / "out" / "lebesgue.csv").exists()
+
+
+def test_cli_check_lebesgue_fails_past_the_injectivity_threshold(tmp_path,
+                                                                  capsys):
+    cfg = json.loads(json.dumps(PSEUDO1D))
+    cfg["domain"] = {"vertices": [list(v) for v in NOTCHED],
+                     "facets": [{"vertices": [i, (i + 1) % 6],
+                                 "label": "insulated"} for i in range(6)]}
+    cfg["field_mode"] = "bisector"
+    cfg["solver"]["epsilon_list"] = [5.0, 2.5]
+    assert run_cli(tmp_path, cfg, "check-lebesgue") == 2
+    assert capsys.readouterr().err.startswith("geometry error: ")
+    assert not (tmp_path / "out" / "lebesgue.csv").exists()
 
 
 def test_cli_outputs_deterministic(tmp_path, capsys):

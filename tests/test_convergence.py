@@ -86,6 +86,16 @@ def test_gamma_sweep_noninjective_eps_propagates():
         gamma_sweep(domain, field, dist, data, [2.5, 1.25], h=0.5, n_t=2)
 
 
+def test_lebesgue_check_raises_past_the_injectivity_threshold():
+    # the notch's bisector layer folds at eps*d ~ 1.95: the check must not
+    # integrate over a folded layer and pass its order check
+    domain = PolygonalDomain(NOTCHED, ["insulated"] * 6)
+    field = build_transversal_field(domain, "bisector")
+    dist = InsulationDistribution.constant(field, 1.0)
+    with pytest.raises(NonInjectiveLayer, match="facet 3"):
+        lebesgue_limit_check(None, None, dist, field, [5.0, 2.5])
+
+
 def test_measure_convergence_table(square_all_insulated):
     field = build_transversal_field(square_all_insulated, "bisector")
     dist = InsulationDistribution.constant(field, 1.0)

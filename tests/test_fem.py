@@ -69,21 +69,14 @@ def unit_right_triangle_mesh():
 def test_element_stiffness_unit_right_triangle():
     # hand integration of P1 gradients: (1/2) [[2,-1,-1],[-1,1,0],[-1,0,1]]
     mesh = unit_right_triangle_mesh()
-    K = assemble_stiffness(mesh, 1.0).toarray()
+    K = assemble_stiffness(mesh).toarray()
     expected = 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]])
     assert np.allclose(K, expected, atol=1e-15)
 
 
-def test_stiffness_scales_with_coefficient():
-    mesh = unit_right_triangle_mesh()
-    K1 = assemble_stiffness(mesh, 1.0).toarray()
-    K2 = assemble_stiffness(mesh, 2.0).toarray()
-    assert np.allclose(K2, 2 * K1, atol=1e-15)
-
-
 def test_stiffness_kernel_contains_constants(lshape_all_insulated):
     mesh = triangulate_bulk(lshape_all_insulated, 0.2)
-    K = assemble_stiffness(mesh, 1.0)
+    K = assemble_stiffness(mesh)
     c = np.full(len(mesh.nodes), 3.7)
     assert np.abs(K @ c).max() <= 1e-12
 
@@ -225,7 +218,7 @@ def test_neumann_unknown_facet_label():
 
 def test_dirichlet_elimination_zero_value_keeps_rhs():
     mesh = unit_right_triangle_mesh()
-    K = assemble_stiffness(mesh, 1.0)
+    K = assemble_stiffness(mesh)
     b = np.array([1.0, 2.0, 3.0])
     A_FF, b_F = apply_dirichlet(K, b, np.array([True, False, False]),
                                 np.zeros(3))
@@ -235,7 +228,7 @@ def test_dirichlet_elimination_zero_value_keeps_rhs():
 
 def test_dirichlet_elimination_without_fixed_nodes_keeps_the_system():
     mesh = unit_right_triangle_mesh()
-    K = assemble_stiffness(mesh, 1.0)
+    K = assemble_stiffness(mesh)
     b = np.array([1.0, 2.0, 3.0])
     A_FF, b_F = apply_dirichlet(K, b, np.zeros(3, dtype=bool), np.zeros(3))
     assert A_FF is K and b_F is b

@@ -2,22 +2,29 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from insulopt.errors import InvalidDomain, ModeInvalid, TransversalityFailure
+from insulopt.errors import (
+    InvalidDomain,
+    ModeInvalid,
+    NonInjectiveLayer,
+    TransversalityFailure,
+)
 from insulopt.geometry import (
     FIELD_SAMPLES_PER_FACET,
     InsulationDistribution,
     PolygonalDomain,
+    boundary_integral,
     build_transversal_field,
     layer_area,
+    layer_integral,
     layer_jacobian,
     layer_point,
     transversal_mass,
 )
 
-from conftest import NOTCHED, SQUARE, pseudo1d_domain
+from conftest import LSHAPE, NOTCHED, SQUARE, pseudo1d_domain
 
 
 def star_polygon(radii):
@@ -277,3 +284,119 @@ def test_component_locate_matches_facet_walk(labels):
         expected = [locate_one(domain, comp, c) for c in coords]
         assert fid.tolist() == [f for f, _ in expected]
         assert np.array_equal(lam, [l for _, l in expected])
+
+
+# -- one arc table for every layer and boundary integral ---------------------
+
+def reference_arc_gauss_nodes(field, dist):
+    """The per-sub-segment loop the arc table replaced: for every insulated
+    facet piece between the knots more than 1e-14 inside it, (facet, local
+    parameters, thickness values, weights) of 16-point Gauss-Legendre."""
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    domain = field.domain
+    for ci, comp in enumerate(domain.insulated_components):
+        coords = dist.component_coords[ci]
+        for fid in comp.facets:
+            off = comp.facet_offsets[fid]
+            L = domain.lengths[fid]
+            inner = coords[(coords > off + 1e-14) & (coords < off + L - 1e-14)]
+            brk = np.concatenate([[off], inner, [off + L]])
+            for a, b in zip(brk[:-1], brk[1:]):
+                half, mid = 0.5 * (b - a), 0.5 * (a + b)
+                q = mid + half * gx
+                yield fid, (q - off) / L, dist.value_at(ci, q), half * gw
+
+
+def reference_integrals(field, dist, eps, a, v):
+    """layer_area, transversal_mass, layer_integral (p = 2) and
+    boundary_integral (p = 2), one sub-segment at a time."""
+    tx, tw = np.polynomial.legendre.leggauss(6)
+    domain = field.domain
+    area = mass = layer = bdry = 0.0
+    for fid, lam, d, w in reference_arc_gauss_nodes(field, dist):
+        k, kp = field.k_at(fid, lam), field.k_prime_at(fid, lam)
+        tau = domain.tangents[fid]
+        A = k[:, 0] * tau[1] - k[:, 1] * tau[0]
+        B = k[:, 0] * kp[:, 1] - k[:, 1] * kp[:, 0]
+        T = eps * d
+        base = domain.facet_point(fid, lam)
+        aval = np.array([a(s) for s in domain.facet_arc_start[fid]
+                         + lam * domain.lengths[fid]])
+        inner = sum(g * v(base + (0.5 * T * (x + 1))[:, None] * k) ** 2
+                    * (A + 0.5 * T * (x + 1) * B) * 0.5 * T
+                    for x, g in zip(tx, tw))
+        area += np.sum(w * (A * T + 0.5 * B * T**2))
+        mass += np.sum(w * A * d)
+        layer += np.sum(w * aval * inner)
+        bdry += np.sum(w * A * d * aval * v(base) ** 2)
+    return area, mass, layer / eps, bdry
+
+
+@pytest.mark.parametrize("vertices,labels,mode,eps", [
+    (SQUARE, ["insulated"] * 4, "bisector", 0.1),
+    (SQUARE, ["neumann", "insulated", "neumann", "dirichlet"],
+     "facet_normal", 0.1),
+    (LSHAPE, ["insulated"] * 6, "bisector", 0.05),
+    (LSHAPE, ["insulated", "insulated", "dirichlet", "insulated",
+              "insulated", "neumann"], "bisector", 0.05),
+    (NOTCHED, ["insulated"] * 6, "bisector", 0.5),
+    (NOTCHED, ["insulated", "dirichlet", "insulated", "insulated",
+               "insulated", "neumann"], "bisector", 0.5),
+], ids=["square-cyclic", "square-facet-normal", "lshape-cyclic",
+        "lshape-open", "notched-cyclic", "notched-open"])
+def test_integrals_match_per_sub_segment_loop(vertices, labels, mode, eps):
+    domain = PolygonalDomain(vertices, labels)
+    field = build_transversal_field(domain, mode)
+
+    def a(s):
+        return 1.0 + 0.5 * np.sin(s)
+
+    def v(pts):
+        return 1.0 + pts[:, 0] * pts[:, 1]
+
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 20))
+        # random knots, plus one on a vertex and one within 1e-15 of it
+        arcs = np.concatenate([rng.uniform(0.0, domain.perimeter, n),
+                               domain.facet_arc_start[1] + [0.0, 1e-15]])
+        dist = InsulationDistribution.from_arc_samples(
+            field, arcs, rng.uniform(0.5, 1.5, n + 2))
+        got = (layer_area(field, dist, eps), transversal_mass(field, dist),
+               layer_integral(field, dist, eps, p=2, a=a, v=v),
+               boundary_integral(field, dist, p=2, a=a, v=v))
+        for value, ref in zip(got, reference_integrals(field, dist, eps, a,
+                                                       v)):
+            assert type(value) is float
+            assert abs(value - ref) <= 2e-15 * abs(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(knots=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.5, 1.5)),
+                      min_size=1, max_size=12),
+       open_component=st.booleans(),
+       eps=st.floats(0.05, 5.0))
+@example(knots=[(0.5, 1.0)], open_component=False, eps=1.9)
+@example(knots=[(0.5, 1.0)], open_component=False, eps=2.0)
+def test_layer_integral_is_the_area_and_raises_with_it(knots, open_component,
+                                                       eps):
+    # the notch folds its bisector layer at eps*d ~ 1.95 for constant d,
+    # so eps in [0.05, 5] lies on both sides of the injectivity threshold
+    labels = ["insulated"] * 6
+    if open_component:
+        labels[0] = "dirichlet"
+    domain = PolygonalDomain(NOTCHED, labels)
+    field = build_transversal_field(domain, "bisector")
+    comp = domain.insulated_components[0]
+    arcs, values = np.array(knots).T
+    dist = InsulationDistribution.from_arc_samples(
+        field, comp.start_arc + arcs * comp.length, values)
+    assert boundary_integral(field, dist) == transversal_mass(field, dist)
+    try:
+        area = layer_area(field, dist, eps)
+    except NonInjectiveLayer:
+        with pytest.raises(NonInjectiveLayer):
+            layer_integral(field, dist, eps)
+        return
+    assert layer_integral(field, dist, eps) == pytest.approx(
+        area / eps, rel=1e-13, abs=0)

@@ -151,7 +151,7 @@ def test_reduced_objective_descends_from_zero_start():
     from insulopt.fem import dirichlet_nodes
 
     _, zero_ext = dirichlet_nodes(mesh, data)
-    start = eval_I(mesh, zero_ext, 1.0, data, chain=chain)
+    start = eval_I(mesh, zero_ext, 1.0, data)
     assert rep.total <= start.total
 
 
